@@ -85,7 +85,8 @@ CountMinFrequent::CountMinFrequent(uint32_t cm_width, uint32_t cm_depth, size_t 
     : opts_(opts),
       cm_(cm_width, cm_depth, SplitMix64(opts.seed ^ 0xc3a5c85c97cb3127ULL).Next(),
           /*conservative=*/true),
-      capacity_(budget_entries) {
+      capacity_(budget_entries),
+      heap_(budget_entries) {
   assert(budget_entries >= 1);
 }
 
@@ -111,18 +112,19 @@ double CountMinFrequent::Update(const SparseVector& x, int8_t y) {
     // bucket evaluation per row.
     const double count = cm_.UpdateAndQuery(feature, 1.0);
     const float delta = static_cast<float>(-step * static_cast<double>(x.value(i)));
-    const IndexedMinHeap::Entry* e = heap_.Find(feature);
-    if (e != nullptr) {
-      heap_.Update(feature, count, e->value + delta);
+    if (heap_.Modify(feature, [count, delta](IndexedMinHeap::Entry& e) {
+          e.priority = count;
+          e.value += delta;
+        })) {
       continue;
     }
     if (heap_.size() < capacity_) {
-      heap_.Insert(feature, count, delta);
+      heap_.Set(feature, count, delta);
     } else if (count > heap_.Min().priority) {
       // The feature's apparent count overtook the least-frequent monitored
       // feature: swap them; the evictee's weight is discarded.
       heap_.PopMin();
-      heap_.Insert(feature, count, delta);
+      heap_.Set(feature, count, delta);
     }
   }
   MaybeRescale();

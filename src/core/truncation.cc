@@ -36,10 +36,7 @@ double SimpleTruncation::Update(const SparseVector& x, int8_t y) {
   for (size_t i = 0; i < x.nnz(); ++i) {
     const uint32_t feature = x.index(i);
     const double delta = -step * static_cast<double>(x.value(i));
-    const std::optional<float> current = heap_.Get(feature);
-    if (current.has_value()) {
-      heap_.Add(feature, static_cast<float>(delta));
-    } else {
+    if (!heap_.Add(feature, static_cast<float>(delta))) {
       // A previously-truncated feature restarts from zero; it survives this
       // step's truncation only if its fresh weight beats the current min.
       heap_.Offer(feature, static_cast<float>(delta));
@@ -82,7 +79,10 @@ std::vector<FeatureWeight> SimpleTruncation::TopK(size_t k) const {
 
 ProbabilisticTruncation::ProbabilisticTruncation(size_t budget_entries,
                                                  const LearnerOptions& opts)
-    : opts_(opts), capacity_(budget_entries), rng_(opts.seed ^ 0x9e3779b97f4a7c15ULL) {
+    : opts_(opts),
+      capacity_(budget_entries),
+      rng_(opts.seed ^ 0x9e3779b97f4a7c15ULL),
+      heap_(budget_entries) {
   assert(budget_entries >= 1);
 }
 
@@ -111,14 +111,14 @@ double ProbabilisticTruncation::Update(const SparseVector& x, int8_t y) {
   for (size_t i = 0; i < x.nnz(); ++i) {
     const uint32_t feature = x.index(i);
     const double delta = -step * static_cast<double>(x.value(i));
-    const IndexedMinHeap::Entry* e = heap_.Find(feature);
-    if (e != nullptr) {
-      // W ← W^{|S_t/S_{t+1}|}: recompute the key with the entry's original
-      // exponential variate A (recovered from the stored priority) and its
-      // new weight.
-      const double a = -e->priority * std::fabs(static_cast<double>(e->value));
-      const float w = e->value + static_cast<float>(delta);
-      heap_.Update(feature, Priority(a, w), w);
+    // W ← W^{|S_t/S_{t+1}|}: recompute a member's key with its original
+    // exponential variate A (recovered from the stored priority) and its new
+    // weight.
+    if (heap_.Modify(feature, [delta](IndexedMinHeap::Entry& e) {
+          const double a = -e.priority * std::fabs(static_cast<double>(e.value));
+          e.value += static_cast<float>(delta);
+          e.priority = Priority(a, e.value);
+        })) {
       continue;
     }
     // New candidate: fresh reservoir key with A ~ Exp(1).
@@ -126,10 +126,10 @@ double ProbabilisticTruncation::Update(const SparseVector& x, int8_t y) {
     const float w = static_cast<float>(delta);
     const double priority = Priority(a, w);
     if (heap_.size() < capacity_) {
-      heap_.Insert(feature, priority, w);
+      heap_.Set(feature, priority, w);
     } else if (priority > heap_.Min().priority) {
       heap_.PopMin();
-      heap_.Insert(feature, priority, w);
+      heap_.Set(feature, priority, w);
     }
   }
   MaybeRescale();

@@ -2,7 +2,6 @@
 
 #include <limits>
 #include <memory>
-#include <unordered_map>
 
 namespace wmsketch {
 
@@ -32,14 +31,10 @@ std::unique_ptr<BudgetedClassifier> BudgetedClassifier::Clone() const { return n
 WeightEstimator BudgetedClassifier::EstimatorSnapshot() const {
   // Heap-backed methods (truncation, Space-Saving, CM-FF) keep every nonzero
   // weight behind a tracked identifier, so the full TopK *is* the model.
-  auto weights = std::make_shared<std::unordered_map<uint32_t, float>>();
-  for (const FeatureWeight& fw : TopK(std::numeric_limits<size_t>::max())) {
-    weights->emplace(fw.feature, fw.weight);
-  }
-  return [weights](uint32_t feature) {
-    const auto it = weights->find(feature);
-    return it == weights->end() ? 0.0f : it->second;
-  };
+  const std::vector<FeatureWeight> all = TopK(std::numeric_limits<size_t>::max());
+  auto weights = std::make_shared<TopKHeap>(all.size());
+  for (const FeatureWeight& fw : all) weights->Set(fw.feature, fw.weight);
+  return [weights](uint32_t feature) { return weights->Get(feature).value_or(0.0f); };
 }
 
 namespace {

@@ -7,19 +7,19 @@ namespace wmsketch {
 
 uint32_t SpaceSaving::Update(uint32_t item, uint64_t increment) {
   total_ += increment;
-  const IndexedMinHeap::Entry* existing = heap_.Find(item);
-  if (existing != nullptr) {
-    heap_.Update(item, existing->priority + static_cast<double>(increment), existing->value);
+  if (heap_.Modify(item, [increment](IndexedMinHeap::Entry& e) {
+        e.priority += static_cast<double>(increment);
+      })) {
     return kNoEviction;
   }
   if (heap_.size() < capacity_) {
-    heap_.Insert(item, static_cast<double>(increment), /*error=*/0.0f);
+    heap_.Set(item, static_cast<double>(increment), /*error=*/0.0f);
     return kNoEviction;
   }
   // Evict the minimum-count item; the newcomer inherits its count as error.
   const IndexedMinHeap::Entry min = heap_.PopMin();
-  heap_.Insert(item, min.priority + static_cast<double>(increment),
-               /*error=*/static_cast<float>(min.priority));
+  heap_.Set(item, min.priority + static_cast<double>(increment),
+            /*error=*/static_cast<float>(min.priority));
   return min.key;
 }
 

@@ -30,7 +30,7 @@ struct SpaceSavingEntry {
 class SpaceSaving {
  public:
   /// Constructs a summary monitoring at most `capacity` items (>= 1).
-  explicit SpaceSaving(size_t capacity) : capacity_(capacity) {}
+  explicit SpaceSaving(size_t capacity) : capacity_(capacity), heap_(capacity) {}
 
   /// Observes one occurrence of `item`. Returns the item that was evicted to
   /// make room, or a sentinel (kNoEviction) if none was.

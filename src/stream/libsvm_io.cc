@@ -2,6 +2,7 @@
 
 #include <sys/wait.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <charconv>
 #include <cmath>
@@ -67,8 +68,12 @@ Result<Example> ParseLibsvmLine(std::string_view line, bool one_based) {
     return Status::InvalidArgument("unrecognized label '" + std::string(label_tok) + "'");
   }
 
+  // One allocation per array: each well-formed feature token has one ':'.
+  const size_t features = static_cast<size_t>(std::count(rest.begin(), rest.end(), ':'));
   std::vector<uint32_t> indices;
   std::vector<float> values;
+  indices.reserve(features);
+  values.reserve(features);
   bool have_prev = false;
   uint64_t prev = 0;
   for (std::string_view tok = NextToken(rest); !tok.empty(); tok = NextToken(rest)) {

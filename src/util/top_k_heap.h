@@ -29,7 +29,7 @@ class TopKHeap {
  public:
   /// Constructs a tracker retaining at most `capacity` features.
   /// Requires capacity >= 1.
-  explicit TopKHeap(size_t capacity) : capacity_(capacity) {}
+  explicit TopKHeap(size_t capacity) : capacity_(capacity), heap_(capacity) {}
 
   size_t capacity() const { return capacity_; }
   size_t size() const { return heap_.size(); }
@@ -46,13 +46,7 @@ class TopKHeap {
   /// Sets (inserts or overwrites) the weight for a feature that is either
   /// already tracked or for which there is spare capacity; use Offer() for
   /// the evicting path. Requires Contains(feature) || !full().
-  void Set(uint32_t feature, float weight) {
-    if (heap_.Contains(feature)) {
-      heap_.Update(feature, std::fabs(weight), weight);
-    } else {
-      heap_.Insert(feature, std::fabs(weight), weight);
-    }
-  }
+  void Set(uint32_t feature, float weight) { heap_.Set(feature, std::fabs(weight), weight); }
 
   /// Offers a (feature, weight) estimate. If the feature is tracked, its
   /// weight is refreshed. Otherwise it is admitted if there is capacity or
@@ -60,18 +54,20 @@ class TopKHeap {
   /// displaced minimum entry is returned so the caller can spill it (the
   /// AWM-Sketch folds it back into its sketch).
   std::optional<FeatureWeight> Offer(uint32_t feature, float weight) {
-    if (heap_.Contains(feature)) {
-      heap_.Update(feature, std::fabs(weight), weight);
+    if (!full()) {
+      Set(feature, weight);
       return std::nullopt;
     }
-    if (!full()) {
-      heap_.Insert(feature, std::fabs(weight), weight);
+    if (heap_.Modify(feature, [weight](IndexedMinHeap::Entry& e) {
+          e.priority = std::fabs(weight);
+          e.value = weight;
+        })) {
       return std::nullopt;
     }
     const IndexedMinHeap::Entry& min = heap_.Min();
     if (std::fabs(weight) <= min.priority) return std::nullopt;
     const IndexedMinHeap::Entry evicted = heap_.PopMin();
-    heap_.Insert(feature, std::fabs(weight), weight);
+    Set(feature, weight);
     return FeatureWeight{evicted.key, evicted.value};
   }
 
@@ -111,13 +107,17 @@ class TopKHeap {
     });
   }
 
-  /// Adds `delta` to the weight of a tracked feature. Requires
-  /// Contains(feature).
-  void Add(uint32_t feature, float delta) {
-    const IndexedMinHeap::Entry* e = heap_.Find(feature);
-    const float w = e->value + delta;
-    heap_.Update(feature, std::fabs(w), w);
+  /// Adds `delta` to the weight of a tracked feature and returns true; an
+  /// untracked feature is left alone and false returned.
+  bool Add(uint32_t feature, float delta) {
+    return heap_.Modify(feature, [delta](IndexedMinHeap::Entry& e) {
+      e.value += delta;
+      e.priority = std::fabs(e.value);
+    });
   }
+
+  /// Bytes held by the entry array and its index.
+  size_t ResidentBytes() const { return heap_.ResidentBytes(); }
 
   /// All tracked entries in unspecified order.
   std::vector<FeatureWeight> Entries() const {

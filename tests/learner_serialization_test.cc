@@ -179,5 +179,37 @@ TEST(LearnerSerializationTest, ContinuedTrainingAfterRestoreMatchesStraightThrou
   }
 }
 
+// Pins the exact SaveLearner bytes of every method across commits: a change
+// to an active-set data structure must leave heap array order (and with it
+// eviction tie-breaking), weights and the snapshot format untouched. The
+// stream is seeded and every update is plain IEEE double/float arithmetic,
+// so the bytes are a pure function of the code. A deliberate format or
+// model change re-records these values and says so.
+uint32_t SnapshotCrc(const Learner& learner) {
+  std::stringstream buffer;
+  EXPECT_TRUE(SaveLearner(learner, buffer).ok());
+  const std::string bytes = buffer.str();
+  return crc32c::Value(bytes.data(), bytes.size());
+}
+
+TEST(LearnerSerializationTest, GoldenSnapshotBytes) {
+  const std::pair<Method, uint32_t> golden[] = {
+      {Method::kSimpleTruncation, 0x0a398651u},
+      {Method::kProbabilisticTruncation, 0xcd78fddeu},
+      {Method::kSpaceSavingFrequent, 0x362ee77eu},
+      {Method::kCountMinFrequent, 0xcb93255au},
+      {Method::kFeatureHashing, 0x3ac323c4u},
+      {Method::kWmSketch, 0x66acd2dbu},
+      {Method::kAwmSketch, 0x1ddc6d65u},
+  };
+  for (const auto& [m, crc] : golden) {
+    EXPECT_EQ(SnapshotCrc(TrainedLearner(m, 20000, 101)), crc) << MethodName(m);
+  }
+  // The AWM merge rebuilds the active set from the union of both sides.
+  Learner merged = TrainedLearner(Method::kAwmSketch, 20000, 101);
+  ASSERT_TRUE(merged.Merge(TrainedLearner(Method::kAwmSketch, 7000, 101)).ok());
+  EXPECT_EQ(SnapshotCrc(merged), 0x257f547cu) << "awm merged";
+}
+
 }  // namespace
 }  // namespace wmsketch
