@@ -29,7 +29,6 @@
 #include "metrics/recovery.h"
 #include "stream/libsvm_io.h"
 #include "util/memory_cost.h"
-#include "util/simd.h"
 
 namespace wmsketch::bench {
 
@@ -106,14 +105,6 @@ inline std::string StrFlagArg(int argc, char** argv, const char* flag) {
   }
   return "";
 }
-
-/// Runs the one-shot SIMD kernel calibration *now*, before any timed cell.
-/// Left to its lazy trigger, the ~1 ms measurement fires inside whichever
-/// bench cell first issues an eligible gather — silently inflating that
-/// cell's time and, worse, doing so for exactly one (config, kernel) row of
-/// the committed baseline. Every bench main() calls this once after flag
-/// parsing; WMS_SKIP_CALIBRATION still short-circuits it to the defaults.
-inline void CalibrateKernelsBeforeTiming() { simd::CalibrateGather(); }
 
 /// Collector for a bench's machine-readable output: flat rows of named
 /// numbers/strings, written as {"bench": <name>, "rows": [{...}, ...]}.

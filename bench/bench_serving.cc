@@ -330,10 +330,10 @@ PublishCostResult RunPublishCost(const PublishCostConfig& c,
 //
 // Single-threaded wide reads against a *published* snapshot: the paged
 // frozen read models behind every ServingHandle, measured without writer or
-// reader contention so the row isolates the paged gather kernels themselves
-// (GatherSignedPaged / GatherMedianFusedPaged vs the fused per-cell loops).
-// Kernel paths toggle like bench_hot_path; the checksum is deterministic and
-// must match across paths (bit-identity contract).
+// reader contention so the row isolates the paged read kernels themselves
+// (the sketch/read_path.h fused loops over the snapshot's pages). Kernel
+// paths toggle like bench_hot_path; the checksum is deterministic and must
+// match across paths (bit-identity contract).
 
 struct FrozenReadResult {
   double batch_predicts_per_sec = 0.0;
@@ -434,7 +434,6 @@ int main(int argc, char** argv) {
       ResolveBenchStreams(argc, argv, profile, examples, 88);
   const std::vector<Example>& stream = streams.front().examples;
   const uint32_t dimension = streams.front().dimension;
-  CalibrateKernelsBeforeTiming();
 
   Banner("Serving — " + std::to_string(readers) + " readers × 1 writer, publish every " +
          std::to_string(kServeEvery) + " updates (" + std::to_string(stream.size()) +

@@ -61,7 +61,7 @@ class AwmReadModel final : public ReadModel {
   }
 
   void EstimateBatch(std::span<const uint32_t> features, float* out) const override {
-    readpath::ActiveEstimateBatchPaged(
+    readpath::ActiveEstimateBatch(
         pages_.view(), rows_, features, estimate_factor_,
         [this](uint32_t feature) -> std::optional<float> {
           const std::optional<float> raw = active_.Get(feature);
@@ -77,7 +77,7 @@ class AwmReadModel final : public ReadModel {
 
  private:
   float TailQuery(uint32_t feature) const {
-    return readpath::FusedEstimatePaged(pages_.view(), rows_, feature, estimate_factor_);
+    return readpath::FusedEstimate(pages_.view(), rows_, feature, estimate_factor_);
   }
 
   TopKHeap active_;  // raw active-set weights
@@ -142,7 +142,7 @@ void AwmSketch::PredictBatch(std::span<const Example> batch, double* margins) co
 }
 
 void AwmSketch::EstimateBatch(std::span<const uint32_t> features, float* out) const {
-  readpath::ActiveGatherMedianBatch(
+  readpath::ActiveEstimateBatch(
       table_.data(), rows_, features, sqrt_depth_ * sketch_scale_,
       [this](uint32_t feature) -> std::optional<float> {
         const std::optional<float> raw = heap_.Get(feature);
@@ -380,8 +380,8 @@ WeightEstimator AwmSketch::EstimatorSnapshot() const {
     if (const std::optional<float> raw = shared->active.Get(feature)) {
       return static_cast<float>(shared->heap_scale * static_cast<double>(*raw));
     }
-    return readpath::FusedEstimatePaged(shared->pages.view(), shared->rows, feature,
-                                        shared->sketch_scale);
+    return readpath::FusedEstimate(shared->pages.view(), shared->rows, feature,
+                                   shared->sketch_scale);
   };
 }
 

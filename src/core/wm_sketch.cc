@@ -18,46 +18,13 @@ namespace {
 
 constexpr double kMinScale = 1e-25;
 
-/// True when the plan's nnz·depth table offsets are pairwise distinct — the
-/// condition under which a full-plan scatter followed by full-plan medians
-/// is bit-identical to the per-feature scatter/offer interleave (no feature
-/// reads a cell another feature of the same example writes). Epoch-stamped
-/// open addressing in thread-local storage: no clearing between calls, no
-/// steady-state allocation.
-bool PlanOffsetsDistinct(const uint32_t* offsets, size_t n) {
-  thread_local std::vector<uint32_t> slot_key;
-  thread_local std::vector<uint32_t> slot_epoch;
-  thread_local uint32_t epoch = 0;
-  const size_t cap = NextPowerOfTwo(2 * n);
-  if (slot_key.size() < cap) {
-    slot_key.assign(cap, 0);
-    slot_epoch.assign(cap, 0);
-    epoch = 0;
-  }
-  if (++epoch == 0) {  // wrap: stale stamps could alias a reused epoch value
-    std::fill(slot_epoch.begin(), slot_epoch.end(), 0u);
-    epoch = 1;
-  }
-  const uint32_t mask = static_cast<uint32_t>(slot_key.size()) - 1;
-  for (size_t e = 0; e < n; ++e) {
-    const uint32_t key = offsets[e];
-    uint32_t s = (key * 0x9E3779B9u) & mask;
-    while (slot_epoch[s] == epoch) {
-      if (slot_key[s] == key) return false;
-      s = (s + 1) & mask;
-    }
-    slot_epoch[s] = epoch;
-    slot_key[s] = key;
-  }
-  return true;
-}
-
 /// The frozen WM read model: copies of the hash rows, the *published pages*
 /// of the raw table (shared with other snapshots; only pages dirtied since
 /// the previous publication were copied), and the two resolved scale
-/// factors. Every answer runs the shared sketch/read_path.h paged kernels,
-/// whose arithmetic is the flat kernels' verbatim — frozen answers stay
-/// bit-identical to what the live model answered at capture time.
+/// factors. Every answer runs the shared sketch/read_path.h kernels over the
+/// pages — the same templates the live batched reads run over the arena —
+/// so frozen answers stay bit-identical to what the live model answered at
+/// capture time.
 class WmReadModel final : public ReadModel {
  public:
   WmReadModel(std::vector<SignedBucketHash> rows, PageSet<float> pages,
@@ -68,19 +35,19 @@ class WmReadModel final : public ReadModel {
         estimate_factor_(estimate_factor) {}
 
   double PredictMargin(const SparseVector& x) const override {
-    return readpath::FusedMarginPaged(pages_.view(), rows_, x, margin_factor_);
+    return readpath::FusedMargin(pages_.view(), rows_, x, margin_factor_);
   }
 
   void PredictBatch(std::span<const Example> batch, double* out) const override {
-    readpath::MarginBatchPaged(pages_.view(), rows_, batch, margin_factor_, out);
+    readpath::MarginBatch(pages_.view(), rows_, batch, margin_factor_, out);
   }
 
   float Estimate(uint32_t feature) const override {
-    return readpath::FusedEstimatePaged(pages_.view(), rows_, feature, estimate_factor_);
+    return readpath::FusedEstimate(pages_.view(), rows_, feature, estimate_factor_);
   }
 
   void EstimateBatch(std::span<const uint32_t> features, float* out) const override {
-    readpath::EstimateBatchPaged(pages_.view(), rows_, features, estimate_factor_, out);
+    readpath::EstimateBatch(pages_.view(), rows_, features, estimate_factor_, out);
   }
 
   size_t ResidentBytes() const override { return pages_.ResidentBytes(); }
@@ -129,11 +96,11 @@ double WmSketch::PredictMargin(const SparseVector& x) const {
 }
 
 void WmSketch::PredictBatch(std::span<const Example> batch, double* margins) const {
-  readpath::PlanMarginBatch(table_.data(), rows_, batch, scale_ / sqrt_depth_, margins);
+  readpath::MarginBatch(table_.data(), rows_, batch, scale_ / sqrt_depth_, margins);
 }
 
 void WmSketch::EstimateBatch(std::span<const uint32_t> features, float* out) const {
-  readpath::GatherMedianBatch(table_.data(), rows_, features, sqrt_depth_ * scale_, out);
+  readpath::EstimateBatch(table_.data(), rows_, features, sqrt_depth_ * scale_, out);
 }
 
 std::unique_ptr<const ReadModel> WmSketch::MakeReadModel() const {
@@ -176,71 +143,18 @@ double WmSketch::UpdateWithPlan(const SparseVector& x, int8_t y,
     // magnitude order equals true-estimate order because √s·α is a shared
     // positive factor. The heap offer for feature i must observe the
     // scatters of features 0..i only (two colliding features of one example
-    // read different intermediate cells), so in general scatter and offer
-    // interleave per feature exactly as the pre-plan loop did.
-    //
-    // Batched route: when the example's offsets are pairwise distinct, no
-    // feature reads a cell another feature writes, so the interleave is
-    // unobservable — a full-plan vectorized scatter, one fused gather+median
-    // sweep, and a vectorized |median|-vs-heap-floor prefilter produce the
-    // exact per-feature offer sequence with the scalar heap entered only for
-    // offers the floor test cannot reject. The width-dependent guard skips
-    // the distinctness check when a collision is likelier than not
-    // (birthday bound: ~entries²/2 over table cells), which routes narrow
-    // sketches to the interleaved loop without scanning.
+    // read different intermediate cells), so scatter and offer interleave
+    // per feature exactly as the pre-plan loop did.
     const uint32_t d = plan.depth;
-    const size_t entries = plan.entries();
-    if (d <= 7 && simd::FusedMedianDispatched(plan.nnz) &&
-        2 * entries * entries <= table_.size() &&
-        PlanOffsetsDistinct(plan.offsets, entries)) {
-      thread_local std::vector<float> medians;
-      thread_local std::vector<float> mags;
-      thread_local std::vector<uint8_t> above;
-      const size_t nnz = plan.nnz;
-      if (medians.size() < nnz) {
-        medians.resize(nnz);
-        mags.resize(nnz);
-        above.resize(nnz);
+    float* tbl = table_.data();
+    for (size_t i = 0; i < plan.nnz; ++i) {
+      const double delta = step * static_cast<double>(x.value(i));
+      const uint32_t* off = plan.offsets + i * d;
+      const float* sg = plan.signs + i * d;
+      for (uint32_t j = 0; j < d; ++j) {
+        tbl[off[j]] -= static_cast<float>(delta * static_cast<double>(sg[j]));
       }
-      simd::PlanScatter(table_.data(), plan, x.values().data(), step, scratch);
-      // Raw medians (factor 1.0 is exact): what RawMedianFromPlan returns.
-      simd::GatherMedianFused(table_.data(), plan.offsets, plan.signs, nnz, d, 1.0,
-                              medians.data());
-      const bool was_full = heap_.full();
-      const float floor0 = was_full ? heap_.MinPriority() : 0.0f;
-      simd::AbsAboveFloor(medians.data(), nnz, floor0, mags.data(), above.data());
-      // The precomputed prefilter is valid while the heap is full and its
-      // floor still equals floor0; a tracked-feature refresh can *lower* the
-      // floor and an eviction raises it, so re-read after every real offer
-      // and fall back to the scalar comparison (same test, current floor)
-      // whenever it moved. Contains() must be consulted before skipping: a
-      // below-floor offer to a tracked feature still refreshes it.
-      float cur_floor = floor0;
-      bool floor_current = was_full;
-      for (size_t i = 0; i < nnz; ++i) {
-        if (heap_.full()) {
-          const bool rejected_by_floor =
-              floor_current ? above[i] == 0 : mags[i] <= cur_floor;
-          if (rejected_by_floor && !heap_.Contains(x.index(i))) continue;
-        }
-        heap_.Offer(x.index(i), medians[i]);
-        if (heap_.full()) {
-          const float nf = heap_.MinPriority();
-          floor_current = was_full && nf == floor0;
-          cur_floor = nf;
-        }
-      }
-    } else {
-      float* tbl = table_.data();
-      for (size_t i = 0; i < plan.nnz; ++i) {
-        const double delta = step * static_cast<double>(x.value(i));
-        const uint32_t* off = plan.offsets + i * d;
-        const float* sg = plan.signs + i * d;
-        for (uint32_t j = 0; j < d; ++j) {
-          tbl[off[j]] -= static_cast<float>(delta * static_cast<double>(sg[j]));
-        }
-        heap_.Offer(x.index(i), RawMedianFromPlan(plan, i));
-      }
+      heap_.Offer(x.index(i), RawMedianFromPlan(plan, i));
     }
   } else {
     simd::PlanScatter(table_.data(), plan, x.values().data(), step, scratch);
@@ -276,7 +190,7 @@ WeightEstimator WmSketch::EstimatorSnapshot() const {
   auto st = std::make_shared<const State>(
       State{rows_, table_.SharePages(), sqrt_depth_ * scale_});
   return [st](uint32_t feature) {
-    return readpath::FusedEstimatePaged(st->pages.view(), st->rows, feature, st->scale);
+    return readpath::FusedEstimate(st->pages.view(), st->rows, feature, st->scale);
   };
 }
 

@@ -24,27 +24,24 @@ class HashReadModel final : public ReadModel {
       : hash_(hash), pages_(std::move(pages)), scale_(scale) {}
 
   double PredictMargin(const SparseVector& x) const override {
-    return readpath::FusedMarginPaged(pages_.view(),
-                                      std::span<const SignedBucketHash>(&hash_, 1), x,
-                                      scale_);
+    return readpath::FusedMargin(pages_.view(),
+                                 std::span<const SignedBucketHash>(&hash_, 1), x, scale_);
   }
 
   void PredictBatch(std::span<const Example> batch, double* out) const override {
-    readpath::MarginBatchPaged(pages_.view(),
-                               std::span<const SignedBucketHash>(&hash_, 1), batch,
-                               scale_, out);
+    readpath::MarginBatch(pages_.view(), std::span<const SignedBucketHash>(&hash_, 1),
+                          batch, scale_, out);
   }
 
   float Estimate(uint32_t feature) const override {
-    return readpath::FusedEstimatePaged(pages_.view(),
-                                        std::span<const SignedBucketHash>(&hash_, 1),
-                                        feature, scale_);
+    return readpath::FusedEstimate(pages_.view(),
+                                   std::span<const SignedBucketHash>(&hash_, 1), feature,
+                                   scale_);
   }
 
   void EstimateBatch(std::span<const uint32_t> features, float* out) const override {
-    readpath::EstimateBatchPaged(pages_.view(),
-                                 std::span<const SignedBucketHash>(&hash_, 1), features,
-                                 scale_, out);
+    readpath::EstimateBatch(pages_.view(), std::span<const SignedBucketHash>(&hash_, 1),
+                            features, scale_, out);
   }
 
   size_t ResidentBytes() const override { return pages_.ResidentBytes(); }
@@ -79,14 +76,14 @@ double FeatureHashingClassifier::PredictMargin(const SparseVector& x) const {
 
 void FeatureHashingClassifier::PredictBatch(std::span<const Example> batch,
                                             double* margins) const {
-  readpath::PlanMarginBatch(table_.data(), std::span<const SignedBucketHash>(&hash_, 1),
-                            batch, scale_, margins);
+  readpath::MarginBatch(table_.data(), std::span<const SignedBucketHash>(&hash_, 1),
+                        batch, scale_, margins);
 }
 
 void FeatureHashingClassifier::EstimateBatch(std::span<const uint32_t> features,
                                              float* out) const {
-  readpath::GatherMedianBatch(table_.data(), std::span<const SignedBucketHash>(&hash_, 1),
-                              features, scale_, out);
+  readpath::EstimateBatch(table_.data(), std::span<const SignedBucketHash>(&hash_, 1),
+                          features, scale_, out);
 }
 
 std::unique_ptr<const ReadModel> FeatureHashingClassifier::MakeReadModel() const {
@@ -141,7 +138,7 @@ WeightEstimator FeatureHashingClassifier::EstimatorSnapshot() const {
     float sign;
     st->hash.BucketAndSign(feature, &bucket, &sign);
     return static_cast<float>(st->scale * static_cast<double>(sign) *
-                              static_cast<double>(st->pages.view().At(bucket)));
+                              static_cast<double>(st->pages.view()[bucket]));
   };
 }
 

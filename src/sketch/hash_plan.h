@@ -47,32 +47,6 @@ inline void AppendPlanEntries(std::span<const SignedBucketHash> rows,
   }
 }
 
-/// Appends the nnz × depth plan entries of an explicit feature-id list — the
-/// point-query analogue of AppendPlanEntries (batched WeightEstimate hashes
-/// each (key, row) pair exactly once, like updates do).
-inline void AppendKeyEntries(std::span<const SignedBucketHash> rows,
-                             std::span<const uint32_t> keys,
-                             std::vector<uint32_t>& offsets, std::vector<float>& signs) {
-  const uint32_t depth = static_cast<uint32_t>(rows.size());
-  const size_t base = offsets.size();
-  offsets.resize(base + keys.size() * depth);
-  signs.resize(base + keys.size() * depth);
-  uint32_t* off = offsets.data() + base;
-  float* sg = signs.data() + base;
-  for (const uint32_t key : keys) {
-    for (uint32_t j = 0; j < depth; ++j) {
-      uint32_t bucket;
-      float sign;
-      rows[j].BucketAndSign(key, &bucket, &sign);
-      off[j] = j * rows[j].width() + bucket;
-      sg[j] = sign;
-      assert(off[j] != kPlanNoEntry);
-    }
-    off += depth;
-    sg += depth;
-  }
-}
-
 }  // namespace detail
 
 /// The per-example hash plan: all nnz × depth (bucket, sign) pairs of one
@@ -97,36 +71,6 @@ class HashPlan {
     offsets_.clear();
     signs_.clear();
     detail::AppendPlanEntries(rows, x, offsets_, signs_);
-  }
-
-  /// Hashes every (key, row) pair of an explicit feature-id list once — the
-  /// batched point-query (EstimateBatch) analogue of Build, with one plan
-  /// slot per key.
-  void BuildKeys(std::span<const SignedBucketHash> rows, std::span<const uint32_t> keys) {
-    assert(!rows.empty());
-    depth_ = static_cast<uint32_t>(rows.size());
-    nnz_ = keys.size();
-    offsets_.clear();
-    signs_.clear();
-    detail::AppendKeyEntries(rows, keys, offsets_, signs_);
-  }
-
-  /// Read-only prefetch of every table cell the plan touches (the batched
-  /// query paths issue it between hashing and the wide gather). Eager builds
-  /// only: lazy plans may hold kPlanNoEntry sentinels.
-  void PrefetchTable(const float* table) const {
-    for (const uint32_t off : offsets_) {
-      __builtin_prefetch(table + off, /*rw=*/0, /*locality=*/1);
-    }
-  }
-
-  /// PrefetchTable against a paged table (frozen snapshots): resolves each
-  /// offset through the page-pointer array. The page pointers themselves are
-  /// a few cache lines and stay hot; prefetching targets the cells.
-  void PrefetchTablePaged(const float* const* pages, uint32_t shift, uint32_t mask) const {
-    for (const uint32_t off : offsets_) {
-      __builtin_prefetch(pages[off >> shift] + (off & mask), /*rw=*/0, /*locality=*/1);
-    }
   }
 
   /// Prepares an all-empty plan of `nnz` slots for lazy per-feature fills —
@@ -227,18 +171,6 @@ class HashPlanArena {
     const size_t end = starts_[e + 1];
     for (size_t k = begin; k < end; ++k) {
       __builtin_prefetch(table + offsets_[k], /*rw=*/1, /*locality=*/1);
-    }
-  }
-
-  /// Prefetches the paged-table cells example `e` will touch (read-only:
-  /// frozen snapshots are never written).
-  void PrefetchTablePaged(const float* const* pages, uint32_t shift, uint32_t mask,
-                          size_t e) const {
-    const size_t begin = starts_[e];
-    const size_t end = starts_[e + 1];
-    for (size_t k = begin; k < end; ++k) {
-      const uint32_t off = offsets_[k];
-      __builtin_prefetch(pages[off >> shift] + (off & mask), /*rw=*/0, /*locality=*/1);
     }
   }
 

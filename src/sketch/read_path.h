@@ -1,41 +1,40 @@
 #pragma once
 
-// Shared batched *read* kernels: the prediction/point-query mirror of the
-// batched update path. Both the live classifiers (Learner::PredictBatch /
-// EstimateBatch on WM, AWM, and feature hashing) and the frozen serving
-// models (src/engine/serving.h) answer batched queries through these, so the
-// two paths cannot drift apart.
+// Shared *read* kernels: the Count-Sketch margin and the per-key median
+// estimate. The live classifiers (Learner::PredictBatch / EstimateBatch on
+// WM, AWM, and feature hashing) and the frozen serving models
+// (src/engine/serving.h) answer through these same templates, so the two
+// paths cannot drift apart.
 //
-// The single-hash invariant holds exactly as on the write side: a batched
-// margin hashes every (feature, row) pair of the batch once into the
-// per-thread plan arena (cross-example table prefetch included), and a
-// batched point query hashes every (key, row) pair once into the per-thread
-// plan, prefetches, runs ONE wide signed gather over all entries, and takes
-// the per-key medians from the gathered buffer. No allocation on the steady
-// state: the TLS plan/arena buffers only ever grow.
+// Each kernel is templated on the cell container: a `const float*` (the live
+// contiguous arena) or a PagedView<float> (a published snapshot's pages,
+// util/paged_table.h). Both index as `table[off]` with the same
+// j·width + bucket offsets, and the hash evaluation order, per-feature double
+// accumulation and median networks are shared — so a frozen model answers
+// bit-identically to the live model it was captured from.
+//
+// A read consumes its hashes once (there is no scatter or heap stage to
+// share them with, unlike an update), so every kernel hashes, reads and
+// accumulates in one fused pass with nothing materialized: one BucketAndSign
+// per (feature, row) pair, no plan buffer, no allocation.
 
 #include <cstdint>
 #include <optional>
 #include <span>
-#include <vector>
 
 #include "core/budget.h"
 #include "hash/tabulation.h"
-#include "sketch/hash_plan.h"
 #include "stream/sparse_vector.h"
 #include "util/math.h"
 #include "util/paged_table.h"
-#include "util/simd.h"
 
 namespace wmsketch::readpath {
 
-/// The fused one-pass margin Σᵢ xᵢ·Σⱼ σⱼ(i)·table[hⱼ(i)] · factor — hash,
-/// read, and accumulate per feature with nothing materialized. This is the
-/// single-hash optimum for a read-only margin when there is no gather
-/// vectorization to feed (unlike updates, a predict has no scatter/heap
-/// stage to reuse the hashes, so a plan buffer is pure overhead on the
-/// scalar path). Bit-identical to PlanMargin over the same pairs.
-inline double FusedMargin(const float* table, std::span<const SignedBucketHash> rows,
+/// The fused one-pass margin factor · Σᵢ xᵢ·Σⱼ σⱼ(i)·table[hⱼ(i)], in the
+/// seed evaluation order (bit-identical to simd::PlanMargin over the same
+/// pairs).
+template <typename Cells>
+inline double FusedMargin(const Cells& table, std::span<const SignedBucketHash> rows,
                           const SparseVector& x, double factor) {
   double acc = 0.0;
   for (size_t i = 0; i < x.nnz(); ++i) {
@@ -54,12 +53,9 @@ inline double FusedMargin(const float* table, std::span<const SignedBucketHash> 
 }
 
 /// The fused single-key point estimate float(factor · median_j(σ_j(key)·
-/// table[h_j(key)])): hash, read, and take the median with nothing
-/// materialized — the one definition of a sketch point query that the live
-/// classifiers' frozen read models and the batched fallback below all
-/// share, so the "frozen answers == live answers" bit-identity cannot
-/// drift copy by copy.
-inline float FusedEstimate(const float* table, std::span<const SignedBucketHash> rows,
+/// table[h_j(key)])) — the one definition of a sketch point query.
+template <typename Cells>
+inline float FusedEstimate(const Cells& table, std::span<const SignedBucketHash> rows,
                            uint32_t key, double factor) {
   float est[kMaxSketchDepth];  // rows.size() never exceeds it (Validate())
   for (size_t j = 0; j < rows.size(); ++j) {
@@ -72,242 +68,35 @@ inline float FusedEstimate(const float* table, std::span<const SignedBucketHash>
                             static_cast<double>(MedianInPlace(est, rows.size())));
 }
 
-/// Batched plan-driven margins: out[e] = factor · margin(batch[e]) —
-/// bit-identical to the fused per-example PredictMargin loop (PlanMargin
-/// keeps the seed evaluation order). With the AVX2 gathers dispatched, the
-/// whole batch is hashed up front and example e+1's table cells are
-/// prefetched while example e accumulates; on the scalar path the plan
-/// buffer round-trip only costs (there is no second consumer of the hashes
-/// on a read), so each example runs the fused loop instead.
-inline void PlanMarginBatch(const float* table, std::span<const SignedBucketHash> rows,
-                            std::span<const Example> batch, double factor, double* out) {
-  if (batch.empty()) return;
-  if (!simd::ReadPlanDispatched(batch[0].x.nnz() * rows.size())) {
-    for (size_t e = 0; e < batch.size(); ++e) {
-      out[e] = FusedMargin(table, rows, batch[e].x, factor);
-    }
-    return;
-  }
-  HashPlanArena& arena = TlsArena();
-  arena.Build(rows, batch);
+/// Batched margins: out[e] = FusedMargin(batch[e].x).
+template <typename Cells>
+inline void MarginBatch(const Cells& table, std::span<const SignedBucketHash> rows,
+                        std::span<const Example> batch, double factor, double* out) {
   for (size_t e = 0; e < batch.size(); ++e) {
-    if (e + 1 < batch.size()) arena.PrefetchTable(table, e + 1);
-    out[e] = factor * simd::PlanMargin(table, arena.View(e), batch[e].x.values().data(),
-                                       arena.scratch());
+    out[e] = FusedMargin(table, rows, batch[e].x, factor);
   }
 }
 
-/// Batched sketch point estimates: out[i] = float(factor · median_j(σ_j(kᵢ)·
-/// table[h_j(kᵢ)])) — bit-identical to the per-key RawMedian/SketchQuery
-/// loop. With depth ≥ 2 and the AVX2 gathers dispatched, all keys are
-/// hashed once, prefetched, and read by one wide gather, with network
-/// (depth ≤ 7) or rank-selection (depth ≥ 8) medians taken from the
-/// gathered buffer. Depth-1 "medians" are single cells (hash + multiply),
-/// and without vector gathers the plan round-trip is pure overhead — both
-/// cases run the fused per-key loop.
-inline void GatherMedianBatch(const float* table, std::span<const SignedBucketHash> rows,
-                              std::span<const uint32_t> keys, double factor, float* out) {
-  if (keys.empty()) return;
-  if (rows.size() == 1 || !simd::ReadPlanDispatched(keys.size() * rows.size())) {
-    for (size_t i = 0; i < keys.size(); ++i) {
-      out[i] = FusedEstimate(table, rows, keys[i], factor);
-    }
-    return;
-  }
-  HashPlan& plan = TlsPlan();
-  plan.BuildKeys(rows, keys);
-  plan.PrefetchTable(table);
-  const simd::PlanView view = plan.View();
-  const uint32_t depth = view.depth;
-  if (depth <= 7 && simd::FusedMedianDispatched(keys.size())) {
-    // Register-resident route: gathered lanes never round-trip through
-    // scratch; the sorting networks run in-register on 8 keys at a time.
-    // Bit-identical to the scratch route below.
-    simd::GatherMedianFused(table, view.offsets, view.signs, keys.size(), depth,
-                            factor, out);
-    return;
-  }
-  float* gathered = plan.scratch();
-  simd::GatherSigned(table, view.offsets, view.signs, view.entries(), gathered);
+/// Batched point estimates: out[i] = FusedEstimate(keys[i]).
+template <typename Cells>
+inline void EstimateBatch(const Cells& table, std::span<const SignedBucketHash> rows,
+                          std::span<const uint32_t> keys, double factor, float* out) {
   for (size_t i = 0; i < keys.size(); ++i) {
-    out[i] = static_cast<float>(
-        factor * static_cast<double>(MedianInPlace(gathered + i * depth, depth)));
+    out[i] = FusedEstimate(table, rows, keys[i], factor);
   }
 }
 
-// ------------------------------------------------------------ paged reads
-//
-// The frozen read models published by the serving layer hold refcounted
-// table *pages* (util/paged_table.h) instead of a flat copy, so their read
-// paths resolve cells through a PagedView: table[off] becomes
-// pages[off >> shift][off & mask]. Everything else — hash evaluation order,
-// per-feature double accumulation, median networks — is the flat kernels'
-// code verbatim, so a paged frozen model answers bit-identically to the live
-// flat model it was captured from. Batched paged reads have their own wide
-// route: GatherSignedPaged walks the page-pointer indirection in registers
-// (vpgatherqq for the page pointers, vpgatherqps through the resulting
-// absolute addresses), so frozen snapshots ride the same plan/gather path as
-// flat tables when simd::PagedReadPlanDispatched approves — a separately
-// calibrated decision, because the dependent-gather chain shifts the
-// crossover (see simd::KernelThresholds::paged_gather_min_entries). Without
-// that approval the fused per-key/per-example loops below remain the route,
-// and either way the answers are bit-identical.
-
-/// FusedMargin over a paged snapshot — bit-identical to FusedMargin on a
-/// flat copy of the same cells.
-inline double FusedMarginPaged(const PagedView<float>& table,
-                               std::span<const SignedBucketHash> rows,
-                               const SparseVector& x, double factor) {
-  double acc = 0.0;
-  for (size_t i = 0; i < x.nnz(); ++i) {
-    const uint32_t feature = x.index(i);
-    double per_feature = 0.0;
-    for (size_t j = 0; j < rows.size(); ++j) {
-      uint32_t bucket;
-      float sign;
-      rows[j].BucketAndSign(feature, &bucket, &sign);
-      per_feature += static_cast<double>(sign) *
-                     static_cast<double>(table.At(j * rows[j].width() + bucket));
-    }
-    acc += per_feature * static_cast<double>(x.value(i));
-  }
-  return factor * acc;
-}
-
-/// FusedEstimate over a paged snapshot — bit-identical to the flat kernel.
-inline float FusedEstimatePaged(const PagedView<float>& table,
-                                std::span<const SignedBucketHash> rows, uint32_t key,
-                                double factor) {
-  float est[kMaxSketchDepth];
-  for (size_t j = 0; j < rows.size(); ++j) {
-    uint32_t bucket;
-    float sign;
-    rows[j].BucketAndSign(key, &bucket, &sign);
-    est[j] = sign * table.At(j * rows[j].width() + bucket);
-  }
-  return static_cast<float>(factor *
-                            static_cast<double>(MedianInPlace(est, rows.size())));
-}
-
-/// Batched paged margins — the paged mirror of PlanMarginBatch. With the
-/// paged plan route dispatched, the batch is hashed up front, example e+1's
-/// cells are prefetched through the page pointers while example e
-/// accumulates, and PlanMarginPaged runs the page-walk gather; otherwise the
-/// fused loop per example. Bit-identical either way.
-inline void MarginBatchPaged(const PagedView<float>& table,
-                             std::span<const SignedBucketHash> rows,
-                             std::span<const Example> batch, double factor,
-                             double* out) {
-  if (batch.empty()) return;
-  if (!simd::PagedReadPlanDispatched(batch[0].x.nnz() * rows.size())) {
-    for (size_t e = 0; e < batch.size(); ++e) {
-      out[e] = FusedMarginPaged(table, rows, batch[e].x, factor);
-    }
-    return;
-  }
-  HashPlanArena& arena = TlsArena();
-  arena.Build(rows, batch);
-  for (size_t e = 0; e < batch.size(); ++e) {
-    if (e + 1 < batch.size()) {
-      arena.PrefetchTablePaged(table.pages, table.shift, table.mask, e + 1);
-    }
-    out[e] = factor * simd::PlanMarginPaged(table.pages, table.shift, table.mask,
-                                            arena.View(e), batch[e].x.values().data(),
-                                            arena.scratch());
-  }
-}
-
-/// Batched paged point estimates — the paged mirror of GatherMedianBatch:
-/// fused per-key loop unless the paged plan route is dispatched, in which
-/// case one wide page-walk gather (register-resident medians when depth ≤ 7
-/// and the fused-median calibration approves, scratch + networks otherwise).
-inline void EstimateBatchPaged(const PagedView<float>& table,
-                               std::span<const SignedBucketHash> rows,
-                               std::span<const uint32_t> keys, double factor,
-                               float* out) {
-  if (keys.empty()) return;
-  if (rows.size() == 1 || !simd::PagedReadPlanDispatched(keys.size() * rows.size())) {
-    for (size_t i = 0; i < keys.size(); ++i) {
-      out[i] = FusedEstimatePaged(table, rows, keys[i], factor);
-    }
-    return;
-  }
-  HashPlan& plan = TlsPlan();
-  plan.BuildKeys(rows, keys);
-  plan.PrefetchTablePaged(table.pages, table.shift, table.mask);
-  const simd::PlanView view = plan.View();
-  const uint32_t depth = view.depth;
-  if (depth <= 7 && simd::FusedMedianDispatched(keys.size())) {
-    simd::GatherMedianFusedPaged(table.pages, table.shift, table.mask, view.offsets,
-                                 view.signs, keys.size(), depth, factor, out);
-    return;
-  }
-  float* gathered = plan.scratch();
-  simd::GatherSignedPaged(table.pages, table.shift, table.mask, view.offsets,
-                          view.signs, view.entries(), gathered);
-  for (size_t i = 0; i < keys.size(); ++i) {
-    out[i] = static_cast<float>(
-        factor * static_cast<double>(MedianInPlace(gathered + i * depth, depth)));
-  }
-}
-
-/// EstimateBatchPaged with an exact active set in front of the tail sketch
-/// (the frozen AWM): active hits answer exactly, the rest batch through the
-/// paged tail path (so sketch-tail misses reach the page-walk gather route
-/// instead of degenerating to per-key fused loops). TLS scratch, no
-/// steady-state allocation.
-template <typename ActiveLookup>
-inline void ActiveEstimateBatchPaged(const PagedView<float>& table,
-                                     std::span<const SignedBucketHash> rows,
-                                     std::span<const uint32_t> keys, double factor,
-                                     ActiveLookup&& lookup, float* out) {
-  thread_local std::vector<uint32_t> tail_keys;
-  thread_local std::vector<uint32_t> tail_pos;
-  thread_local std::vector<float> tail_out;
-  tail_keys.clear();
-  tail_pos.clear();
+/// EstimateBatch for models with an exact active set in front of the sketch
+/// (the AWM): keys resolved by `lookup` (returning the exact true-scale
+/// weight, or no value) answer from it, the rest from the sketch.
+template <typename Cells, typename ActiveLookup>
+inline void ActiveEstimateBatch(const Cells& table, std::span<const SignedBucketHash> rows,
+                                std::span<const uint32_t> keys, double factor,
+                                ActiveLookup&& lookup, float* out) {
   for (size_t i = 0; i < keys.size(); ++i) {
     const std::optional<float> exact = lookup(keys[i]);
-    if (exact.has_value()) {
-      out[i] = *exact;
-    } else {
-      tail_keys.push_back(keys[i]);
-      tail_pos.push_back(static_cast<uint32_t>(i));
-    }
+    out[i] = exact.has_value() ? *exact : FusedEstimate(table, rows, keys[i], factor);
   }
-  if (tail_keys.empty()) return;
-  tail_out.resize(tail_keys.size());
-  EstimateBatchPaged(table, rows, tail_keys, factor, tail_out.data());
-  for (size_t k = 0; k < tail_keys.size(); ++k) out[tail_pos[k]] = tail_out[k];
-}
-
-/// GatherMedianBatch for models with an exact active set in front of the
-/// sketch (the AWM): keys resolved by `lookup` (returning the exact
-/// true-scale weight, or no value) answer from it, the rest batch through
-/// the gathered-median tail path. TLS scratch, no steady-state allocation.
-template <typename ActiveLookup>
-inline void ActiveGatherMedianBatch(const float* table,
-                                    std::span<const SignedBucketHash> rows,
-                                    std::span<const uint32_t> keys, double factor,
-                                    ActiveLookup&& lookup, float* out) {
-  thread_local std::vector<uint32_t> tail_keys;
-  thread_local std::vector<uint32_t> tail_pos;
-  thread_local std::vector<float> tail_out;
-  tail_keys.clear();
-  tail_pos.clear();
-  for (size_t i = 0; i < keys.size(); ++i) {
-    const std::optional<float> exact = lookup(keys[i]);
-    if (exact.has_value()) {
-      out[i] = *exact;
-    } else {
-      tail_keys.push_back(keys[i]);
-      tail_pos.push_back(static_cast<uint32_t>(i));
-    }
-  }
-  if (tail_keys.empty()) return;
-  tail_out.resize(tail_keys.size());
-  GatherMedianBatch(table, rows, tail_keys, factor, tail_out.data());
-  for (size_t k = 0; k < tail_keys.size(); ++k) out[tail_pos[k]] = tail_out[k];
 }
 
 }  // namespace wmsketch::readpath

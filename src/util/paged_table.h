@@ -9,7 +9,7 @@
 // Layout contract (what keeps the hot paths bit-identical and fast):
 //
 //   * The LIVE data is one contiguous arena. Every existing kernel —
-//     absolute-offset HashPlan scatters, simd::PlanMargin gathers, row-major
+//     absolute-offset HashPlan scatters, simd::PlanMargin reads, row-major
 //     Row(j) access — keeps operating on `data()` exactly as it did on the
 //     flat vector. Pages never fragment the writer's view.
 //   * Pages are power-of-two slices of that arena (page size a power of two,
@@ -100,7 +100,7 @@ struct PagedView {
   uint32_t shift = 0;
   uint32_t mask = 0;
 
-  T At(size_t off) const { return pages[off >> shift][off & mask]; }
+  T operator[](size_t off) const { return pages[off >> shift][off & mask]; }
 };
 
 /// One published, immutable set of table pages: what a frozen ReadModel /

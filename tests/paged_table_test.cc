@@ -4,14 +4,13 @@
 
 #include "util/paged_table.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "util/math.h"
-#include "util/simd.h"
 
 namespace wmsketch {
 namespace {
@@ -39,7 +38,7 @@ TEST(PagedTableTest, ViewMatchesArenaByteForByte) {
   ASSERT_EQ(pages.cells(), 1000u);
   for (size_t i = 0; i < t.size(); ++i) {
     const float a = t.data()[i];
-    const float b = pages.view().At(i);
+    const float b = pages.view()[i];
     EXPECT_EQ(0, std::memcmp(&a, &b, sizeof(float))) << i;
   }
 }
@@ -78,11 +77,11 @@ TEST(PagedTableTest, SnapshotsAreImmutableUnderLaterWrites) {
   const PageSet<float> snap = t.SharePages();
   t.MarkDirtyOffset(7);
   t.data()[7] = 2.0f;
-  EXPECT_EQ(snap.view().At(7), 1.0f);
+  EXPECT_EQ(snap.view()[7], 1.0f);
   EXPECT_EQ(t.data()[7], 2.0f);
   const PageSet<float> snap2 = t.SharePages();
-  EXPECT_EQ(snap.view().At(7), 1.0f);  // still pinned at its version
-  EXPECT_EQ(snap2.view().At(7), 2.0f);
+  EXPECT_EQ(snap.view()[7], 1.0f);  // still pinned at its version
+  EXPECT_EQ(snap2.view()[7], 2.0f);
 }
 
 TEST(PagedTableTest, MarkPlanDirtyCoversExactlyTheTouchedPages) {
@@ -129,8 +128,8 @@ TEST(PagedTableTest, CloneSharesCleanPagesWithTheOriginal) {
   b.MarkDirtyOffset(0);
   b.data()[0] = -1.0f;
   const PageSet<float> sb2 = b.SharePages();
-  EXPECT_EQ(sb2.view().At(0), -1.0f);
-  EXPECT_EQ(sa.view().At(0), 0.0f);
+  EXPECT_EQ(sb2.view()[0], -1.0f);
+  EXPECT_EQ(sa.view()[0], 0.0f);
   EXPECT_EQ(a.data()[0], 0.0f);
   EXPECT_NE(sb2.view().pages[0], sa.view().pages[0]);
   EXPECT_EQ(sb2.view().pages[1], sa.view().pages[1]);
@@ -143,24 +142,23 @@ TEST(PagedTableTest, FillMarksEverythingDirty) {
   const uint64_t copied_before = t.publish_stats().copied_pages;
   const PageSet<float> s = t.SharePages();
   EXPECT_EQ(t.publish_stats().copied_pages - copied_before, t.num_pages());
-  EXPECT_EQ(s.view().At(1023), 3.5f);
+  EXPECT_EQ(s.view()[1023], 3.5f);
 }
 
 TEST(PagedTableTest, DoubleTableWorksTheSameWay) {
   BasicPagedTable<double> t(300);
   t.data()[299] = 2.25;
   const PageSet<double> s = t.SharePages();
-  EXPECT_EQ(s.view().At(299), 2.25);
+  EXPECT_EQ(s.view()[299], 2.25);
   t.MarkDirtyOffset(299);
   t.data()[299] = 4.5;
-  EXPECT_EQ(s.view().At(299), 2.25);
+  EXPECT_EQ(s.view()[299], 2.25);
 }
 
-// Randomized read equivalence: every paged read kernel must see exactly the
-// cells a flat copy of the table holds, bit for bit, for plans that straddle
-// page boundaries — the offsets where the page-pointer walk (pages[off >>
-// shift] + (off & mask)) is easiest to get wrong by one. Runs on both the
-// scalar and (where the CPU has them) AVX2 paths.
+// Randomized read equivalence: a PagedView must read exactly the cells the
+// flat arena holds, bit for bit, at offsets that hug page boundaries — where
+// the page-pointer walk (pages[off >> shift][off & mask]) is easiest to get
+// wrong by one — and on ±0 cells, whose sign bit an equality test would miss.
 TEST(PagedTableTest, RandomizedPagedReadsMatchFlatAcrossPageBoundaries) {
   constexpr size_t kCells = 5000;  // padded tail: last page partly out of range
   PagedTable t(kCells);
@@ -173,8 +171,6 @@ TEST(PagedTableTest, RandomizedPagedReadsMatchFlatAcrossPageBoundaries) {
     return z ^ (z >> 31);
   };
   for (size_t i = 0; i < t.size(); ++i) {
-    // Mixed magnitudes plus ±0 cells: the fused median's compare+blend swaps
-    // must treat signed-zero ties exactly as std::min/std::max do.
     t.data()[i] = (i % 67 == 0) ? ((i % 134 == 0) ? 0.0f : -0.0f)
                                 : (static_cast<float>(next() % 2048) - 1024.0f) * 0.03125f;
   }
@@ -183,71 +179,27 @@ TEST(PagedTableTest, RandomizedPagedReadsMatchFlatAcrossPageBoundaries) {
   const uint32_t pc = static_cast<uint32_t>(t.page_cells());
   ASSERT_GE(t.num_pages(), 2u);
 
-  const bool had_simd = simd::Enabled();
-  for (const bool simd_on : {false, true}) {
-    simd::SetEnabled(simd_on);
-    if (simd_on && !simd::Enabled()) continue;  // no AVX2 on this machine
-    for (const uint32_t depth : {1u, 3u, 5u, 7u}) {
-      for (const size_t keys : {size_t{1}, size_t{9}, size_t{64}, size_t{257}}) {
-        const size_t entries = keys * depth;
-        std::vector<uint32_t> offsets(entries);
-        std::vector<float> signs(entries);
-        for (size_t e = 0; e < entries; ++e) {
-          // Three in four entries hug a page boundary (pc-2 .. pc+1 within
-          // some page); the rest land anywhere in the table.
-          if (e % 4 != 0) {
-            const uint32_t page = static_cast<uint32_t>(next() % (t.num_pages() - 1));
-            const uint32_t near = static_cast<uint32_t>(next() % 4);
-            offsets[e] = std::min<uint32_t>(page * pc + (pc - 2) + near,
-                                            static_cast<uint32_t>(kCells - 1));
-          } else {
-            offsets[e] = static_cast<uint32_t>(next() % kCells);
-          }
-          signs[e] = (next() & 1) ? 1.0f : -1.0f;
-        }
-
-        // GatherSignedPaged vs GatherSigned over the flat backing array.
-        std::vector<float> flat(entries), paged(entries);
-        simd::GatherSigned(t.data(), offsets.data(), signs.data(), entries, flat.data());
-        simd::GatherSignedPaged(view.pages, view.shift, view.mask, offsets.data(),
-                                signs.data(), entries, paged.data());
-        ASSERT_EQ(0, std::memcmp(flat.data(), paged.data(), entries * sizeof(float)))
-            << "simd=" << simd_on << " depth=" << depth << " keys=" << keys;
-
-        // Fused paged median vs flat fused median vs first principles.
-        const double factor = 1.0 / 3.0;
-        std::vector<float> med_flat(keys), med_paged(keys);
-        simd::GatherMedianFused(t.data(), offsets.data(), signs.data(), keys, depth,
-                                factor, med_flat.data());
-        simd::GatherMedianFusedPaged(view.pages, view.shift, view.mask, offsets.data(),
-                                     signs.data(), keys, depth, factor, med_paged.data());
-        ASSERT_EQ(0, std::memcmp(med_flat.data(), med_paged.data(), keys * sizeof(float)))
-            << "simd=" << simd_on << " depth=" << depth << " keys=" << keys;
-        for (size_t k = 0; k < keys; ++k) {
-          float lanes[7];
-          for (uint32_t j = 0; j < depth; ++j) lanes[j] = paged[k * depth + j];
-          const float want =
-              static_cast<float>(factor * static_cast<double>(MedianInPlace(lanes, depth)));
-          ASSERT_EQ(0, std::memcmp(&want, &med_paged[k], sizeof(float)))
-              << "simd=" << simd_on << " depth=" << depth << " key=" << k;
-        }
-
-        // PlanMarginPaged vs PlanMargin over the flat backing array.
-        std::vector<float> values(keys), scratch(entries);
-        for (size_t k = 0; k < keys; ++k) {
-          values[k] = (static_cast<float>(next() % 512) - 256.0f) * 0.0625f;
-        }
-        simd::PlanView plan{offsets.data(), signs.data(), keys, depth};
-        const double m_flat =
-            simd::PlanMargin(t.data(), plan, values.data(), scratch.data());
-        const double m_paged = simd::PlanMarginPaged(
-            view.pages, view.shift, view.mask, plan, values.data(), scratch.data());
-        ASSERT_EQ(0, std::memcmp(&m_flat, &m_paged, sizeof(double)))
-            << "simd=" << simd_on << " depth=" << depth << " keys=" << keys;
-      }
+  for (int trial = 0; trial < 4096; ++trial) {
+    // Three in four offsets hug a page boundary (pc-2 .. pc+1 within some
+    // page); the rest land anywhere in the table.
+    uint32_t off;
+    if (trial % 4 != 0) {
+      const uint32_t page = static_cast<uint32_t>(next() % (t.num_pages() - 1));
+      const uint32_t near = static_cast<uint32_t>(next() % 4);
+      off = std::min<uint32_t>(page * pc + (pc - 2) + near,
+                               static_cast<uint32_t>(kCells - 1));
+    } else {
+      off = static_cast<uint32_t>(next() % kCells);
     }
+    const float flat = t.data()[off];
+    const float paged = view[off];
+    ASSERT_EQ(0, std::memcmp(&flat, &paged, sizeof(float))) << "off=" << off;
   }
-  simd::SetEnabled(had_simd);
+  for (size_t off = 0; off < kCells; off += 67) {  // every ±0 cell
+    const float flat = t.data()[off];
+    const float paged = view[off];
+    ASSERT_EQ(0, std::memcmp(&flat, &paged, sizeof(float))) << "off=" << off;
+  }
 }
 
 TEST(PagedTableTest, ResidentAccounting) {

@@ -111,10 +111,17 @@ TEST(ReadModelTest, FrozenAnswersMatchCaptureMoment) {
   const ClassificationProfile profile = ClassificationProfile::SmallTest();
   const std::vector<Example> stream = MakeStream(3000, 11);
   const std::vector<uint32_t> ids = RandomFeatureIds(512, profile.dimension, 6);
-  for (const Method m :
-       {Method::kWmSketch, Method::kAwmSketch, Method::kFeatureHashing}) {
-    Learner model = std::move(ShapeBuilder(m, m == Method::kAwmSketch ? 1 : 3).Build())
-                        .value();
+  // Depth 9 takes the rank-selection median; AWM depth 3 a multi-row tail.
+  struct Case {
+    Method method;
+    uint32_t depth;
+  };
+  const Case cases[] = {{Method::kWmSketch, 3},  {Method::kWmSketch, 9},
+                        {Method::kAwmSketch, 1}, {Method::kAwmSketch, 3},
+                        {Method::kFeatureHashing, 0}};
+  for (const Case& c : cases) {
+    Learner model = std::move(ShapeBuilder(c.method, c.depth).Build()).value();
+    SCOPED_TRACE(model.Name() + " d" + std::to_string(c.depth));
     model.UpdateBatch(std::span<const Example>(stream.data(), 1500));
     const std::unique_ptr<const ReadModel> frozen = model.impl().MakeReadModel();
 
