@@ -1,7 +1,8 @@
 #include "engine/sharded_learner.h"
 
+#include <algorithm>
+#include <array>
 #include <atomic>
-#include <chrono>
 #include <cmath>
 #include <thread>
 #include <utility>
@@ -20,15 +21,12 @@ namespace {
 /// busy across scheduling jitter, small enough that a drain barrier is fast.
 constexpr size_t kQueueCapacity = 1024;
 
-/// How long an idle worker spin-checks its queue before sleeping; bounds the
-/// cost of a missed wakeup alongside the timed wait below.
-constexpr auto kIdleWait = std::chrono::microseconds(200);
-
 /// How many queued examples a worker drains into one UpdateBatch call. The
 /// batch path hashes the whole run into the model's per-thread plan arena
 /// (one hash per (feature, row) pair, table prefetch across examples), so
 /// each shard trains at the single-thread batched rate instead of the
-/// per-example rate. Small enough that drain barriers stay prompt.
+/// per-example rate. Small enough that drain barriers stay prompt. A worker
+/// wakes a producer blocked on its full ring at most once per drained run.
 constexpr size_t kDrainBatch = 64;
 
 /// Content hash of an example's feature indices (splitmix64-style mixing).
@@ -82,7 +80,10 @@ struct ShardedLearner::Impl {
     /// happens with `mu` held.
     Mutex mu;
     CondVar cv;
+    /// Set while this worker waits on `cv` for work.
     std::atomic<bool> sleeping{false};
+    /// Set while the owner waits on `owner_cv` for room in this ring.
+    std::atomic<bool> owner_waiting{false};
     /// The pause epoch this worker last parked in (0 = never). A worker
     /// counts as parked for barrier k only when this equals k, so a stale
     /// park from barrier k-1 — with examples pushed since still sitting in
@@ -102,6 +103,13 @@ struct ShardedLearner::Impl {
   /// Barrier generation counter; incremented (before `pause` is raised) by
   /// each PauseAll.
   std::atomic<uint64_t> pause_epoch{0};
+  /// Where the owner thread blocks: on a full ring (PushTo) and at a barrier
+  /// (PauseAll). Workers notify under `owner_mu` after draining a run while
+  /// the owner waits on their ring, and whenever they park. Like Worker::mu
+  /// it guards no data; it closes the window between the owner's last check
+  /// and its wait.
+  Mutex owner_mu;
+  CondVar owner_cv;
 
   /// The shared model every replica was reset to at the last sync (null
   /// before the first sync, i.e. the zero model): the subtracted base of the
@@ -129,22 +137,34 @@ struct ShardedLearner::Impl {
   uint64_t since_checkpoint = 0;
   Status last_checkpoint_status;
 
+  // Both hand-offs between the owner and a worker are Dekker handshakes: one
+  // side stores its flag and then checks the ring, the other moves the ring
+  // cursor and then loads the flag, with a seq_cst fence between each side's
+  // two steps. Whichever fence comes first in their total order, the other
+  // side's check sees its store, so a wake is never lost and no wait needs a
+  // timeout. The waiter holds the mutex from its check until the wait
+  // releases it, and the waker notifies under that mutex.
+
   void WorkerLoop(Worker& w) {
-    Example ex;
-    std::vector<Example> run;
-    run.reserve(kDrainBatch);
+    // Popped examples are swapped into `run`, and the storage `run` held goes
+    // back into the ring for the owner to copy the next example over, so in
+    // steady state the hand-off allocates nothing on either thread.
+    std::array<Example, kDrainBatch> run;
     for (;;) {
       // Drain a run of queued examples and train them through the batched
       // (plan-arena) path. Equivalent to example-by-example updates — the
       // batch path is bit-identical by contract — and the run is fully
       // trained before the idle/park logic below can observe an empty ring.
-      while (run.size() < kDrainBatch && w.ring.TryPop(&ex)) {
-        run.push_back(std::move(ex));
-      }
-      if (!run.empty()) {
-        w.model->UpdateBatch(run);
-        w.processed.fetch_add(run.size(), std::memory_order_relaxed);
-        run.clear();
+      size_t n = 0;
+      while (n < kDrainBatch && w.ring.TryPop(&run[n])) ++n;
+      if (n > 0) {
+        std::atomic_thread_fence(std::memory_order_seq_cst);
+        if (w.owner_waiting.load(std::memory_order_relaxed)) {
+          MutexLock lk(owner_mu);
+          owner_cv.NotifyOne();
+        }
+        w.model->UpdateBatch(std::span<const Example>(run.data(), n));
+        w.processed.fetch_add(n, std::memory_order_relaxed);
         continue;
       }
       // Queue empty: park, stop, or sleep until there is work.
@@ -159,16 +179,21 @@ struct ShardedLearner::Impl {
           if (!w.ring.Empty()) break;
           w.parked_epoch.store(pause_epoch.load(std::memory_order_acquire),
                                std::memory_order_release);
+          {
+            MutexLock owner_lk(owner_mu);
+            owner_cv.NotifyOne();
+          }
           w.cv.Wait(w.mu, lk);
         }
         continue;
       }
       MutexLock lk(w.mu);
       w.sleeping.store(true, std::memory_order_relaxed);
-      w.cv.WaitFor(w.mu, lk, kIdleWait, [&] {
-        return !w.ring.Empty() || stop.load(std::memory_order_acquire) ||
-               pause.load(std::memory_order_acquire);
-      });
+      std::atomic_thread_fence(std::memory_order_seq_cst);
+      while (w.ring.Empty() && !stop.load(std::memory_order_acquire) &&
+             !pause.load(std::memory_order_acquire)) {
+        w.cv.Wait(w.mu, lk);
+      }
       w.sleeping.store(false, std::memory_order_relaxed);
     }
   }
@@ -181,19 +206,35 @@ struct ShardedLearner::Impl {
     w.cv.NotifyOne();
   }
 
+  /// Copies `example` into `w`'s ring, waking `w` if it sleeps. On a full
+  /// ring the owner blocks until `w` has drained a run.
+  void PushTo(Worker& w, const Example& example) {
+    if (!w.ring.TryPush(example)) {
+      MutexLock lk(owner_mu);
+      w.owner_waiting.store(true, std::memory_order_relaxed);
+      std::atomic_thread_fence(std::memory_order_seq_cst);
+      while (!w.ring.TryPush(example)) owner_cv.Wait(owner_mu, lk);
+      w.owner_waiting.store(false, std::memory_order_relaxed);
+    }
+    std::atomic_thread_fence(std::memory_order_seq_cst);
+    if (w.sleeping.load(std::memory_order_relaxed)) Wake(w);
+  }
+
   /// Barrier: every queued example is trained and every worker is parked in
-  /// *this* barrier's epoch on return. Must be called from the owner thread
-  /// (so no concurrent pushes).
+  /// *this* barrier's epoch on return. The owner sleeps on `owner_cv` until
+  /// then; each worker notifies it as it parks. Must be called from the
+  /// owner thread (so no concurrent pushes).
   void PauseAll() {
     // Epoch before pause: a worker that observes pause==true is guaranteed
     // (release/acquire through `pause`) to read at least this epoch.
     const uint64_t epoch = pause_epoch.fetch_add(1, std::memory_order_release) + 1;
     pause.store(true, std::memory_order_release);
     for (auto& w : workers) Wake(*w);
-    for (auto& w : workers) {
-      while (w->parked_epoch.load(std::memory_order_acquire) != epoch) {
-        std::this_thread::yield();
-      }
+    MutexLock lk(owner_mu);
+    while (!std::all_of(workers.begin(), workers.end(), [&](const auto& w) {
+      return w->parked_epoch.load(std::memory_order_acquire) == epoch;
+    })) {
+      owner_cv.Wait(owner_mu, lk);
     }
   }
 
@@ -301,7 +342,7 @@ ShardedLearner& ShardedLearner::operator=(ShardedLearner&&) noexcept = default;
 
 ShardedLearner::~ShardedLearner() = default;
 
-Status ShardedLearner::Push(Example example) {
+Status ShardedLearner::Push(const Example& example) {
   Impl& impl = *impl_;
   if (impl.collapsed) {
     return Status::FailedPrecondition("sharded learner already collapsed");
@@ -320,12 +361,7 @@ Status ShardedLearner::Push(Example example) {
   }
   const size_t shard =
       impl.shards > 1 ? static_cast<size_t>(ExampleHash(example.x) % impl.shards) : 0;
-  Impl::Worker& w = *impl.workers[shard];
-  while (!w.ring.TryPush(std::move(example))) {
-    if (w.sleeping.load(std::memory_order_relaxed)) impl.Wake(w);
-    std::this_thread::yield();
-  }
-  if (w.sleeping.load(std::memory_order_relaxed)) impl.Wake(w);
+  impl.PushTo(*impl.workers[shard], example);
   ++impl.pushed;
   ++impl.since_sync;
   ++impl.since_publish;

@@ -37,6 +37,15 @@ struct ShardedLearnerStats {
 /// serialization work unchanged on the result; with `Shards(1)` the collapsed
 /// model is bit-identical to a sequential Learner fed the same stream.
 ///
+/// The owner never spins. When a shard's ring is full, Push blocks on a
+/// condition variable until that worker has drained a run (up to 64
+/// examples) and wakes it; a barrier blocks the same way until every worker
+/// has parked. Ring slots are recycled: Push copies an example over the
+/// storage a slot already holds, and the worker swaps it out, so steady-state
+/// ingestion allocates nothing per example. The cost is memory that stays
+/// with the engine: per shard, ring capacity (1024) plus one drain run (64)
+/// of example buffers, each up to the size of the largest example seen.
+///
 /// Threading contract: Push/PushBatch/SyncNow/Collapse/Stats must be called
 /// from one thread (the owner); the engine manages its worker threads
 /// internally. Construct via LearnerBuilder::BuildSharded().
@@ -49,17 +58,21 @@ class ShardedLearner {
   /// Stops and joins the workers; un-collapsed training state is discarded.
   ~ShardedLearner();
 
-  /// Routes one example to its shard's queue (blocking only while that queue
-  /// is full), and runs a synchronization first if the sync interval has
-  /// elapsed. FailedPrecondition after Collapse().
-  Status Push(Example example);
+  /// Copies one example into its shard's queue, and runs a synchronization
+  /// first if the sync interval has elapsed. While that queue is full the
+  /// caller sleeps until the shard's worker has drained a run. The copy
+  /// reuses a recycled slot's storage, so it allocates only when `example`
+  /// has more nonzeros than that slot has held before. FailedPrecondition
+  /// after Collapse().
+  Status Push(const Example& example);
 
   /// Push() for every example in `batch`, in order.
   Status PushBatch(std::span<const Example> batch);
 
-  /// Explicit barrier: drains every queue, parks the workers, merge-averages
-  /// the replicas, redistributes the result, and resumes. A no-op model-wise
-  /// for a single shard (still drains). FailedPrecondition after Collapse().
+  /// Explicit barrier: drains every queue, sleeps until every worker has
+  /// parked, merge-averages the replicas, redistributes the result, and
+  /// resumes. A no-op model-wise for a single shard (still drains).
+  /// FailedPrecondition after Collapse().
   Status SyncNow();
 
   /// Drains and stops the workers, merges the N replicas into one averaged

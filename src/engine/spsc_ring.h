@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 namespace wmsketch {
@@ -15,7 +16,9 @@ namespace wmsketch {
 /// cursors, synchronized release/acquire. Each side keeps a local cache of
 /// the other side's cursor so the common case touches one shared atomic, not
 /// two (the folly/rigtorp ProducerConsumerQueue layout). Capacity is rounded
-/// up to a power of two so the cursor-to-slot mapping is a mask.
+/// up to a power of two so the cursor-to-slot mapping is a mask. Slots are
+/// recycled rather than moved through: the ring keeps `capacity` items'
+/// storage, each slot up to the size of the largest item pushed.
 template <typename T>
 class SpscRing {
  public:
@@ -32,26 +35,33 @@ class SpscRing {
   SpscRing(const SpscRing&) = delete;
   SpscRing& operator=(const SpscRing&) = delete;
 
-  /// Producer side: enqueues `item` unless the ring is full.
-  bool TryPush(T&& item) {
+  /// Producer side: copy-assigns `item` into the next slot unless the ring
+  /// is full. The slot still holds the storage TryPop swapped into it, so
+  /// for a heap-owning T (a vector, an Example) the copy reuses that
+  /// capacity and allocates only when `item` outgrows it.
+  bool TryPush(const T& item) {
     const uint64_t tail = tail_.load(std::memory_order_relaxed);
     if (tail - head_cache_ >= capacity_) {
       head_cache_ = head_.load(std::memory_order_acquire);
       if (tail - head_cache_ >= capacity_) return false;
     }
-    slots_[tail & mask_] = std::move(item);
+    slots_[tail & mask_] = item;
     tail_.store(tail + 1, std::memory_order_release);
     return true;
   }
 
-  /// Consumer side: dequeues into `*out` unless the ring is empty.
+  /// Consumer side: swaps the oldest item into `*out` unless the ring is
+  /// empty. `*out`'s previous contents go back into the slot for the next
+  /// TryPush to copy over, so storage circulates between the two sides
+  /// instead of being freed on one thread and allocated on the other.
   bool TryPop(T* out) {
     const uint64_t head = head_.load(std::memory_order_relaxed);
     if (head == tail_cache_) {
       tail_cache_ = tail_.load(std::memory_order_acquire);
       if (head == tail_cache_) return false;
     }
-    *out = std::move(slots_[head & mask_]);
+    using std::swap;
+    swap(*out, slots_[head & mask_]);
     head_.store(head + 1, std::memory_order_release);
     return true;
   }

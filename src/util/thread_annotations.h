@@ -14,7 +14,6 @@
 // attributes, so `std::lock_guard<std::mutex>` is invisible to the checker.
 // wmsketch::Mutex + wmsketch::MutexLock are the annotated equivalents.
 
-#include <chrono>
 #include <condition_variable>
 #include <mutex>
 
@@ -90,14 +89,6 @@ class CondVar {
   void Wait(Mutex& mu, MutexLock& lock) WMS_REQUIRES(mu) {
     static_cast<void>(mu);
     cv_.wait(lock.lock_);
-  }
-
-  template <typename Rep, typename Period, typename Predicate>
-  bool WaitFor(Mutex& mu, MutexLock& lock,
-               const std::chrono::duration<Rep, Period>& timeout,
-               Predicate pred) WMS_REQUIRES(mu) {
-    static_cast<void>(mu);
-    return cv_.wait_for(lock.lock_, timeout, std::move(pred));
   }
 
   void NotifyOne() { cv_.notify_one(); }

@@ -356,11 +356,9 @@ TEST(SparsityProfileTest, MeasureRoundTripsThroughReplay) {
 }
 
 TEST(SparsityProfileTest, CommittedRcv1ProfileLoadsAndValidates) {
-  auto r = LoadSparsityProfile("bench/profiles/rcv1_sparsity.json");
-  if (!r.ok()) {
-    // ctest runs from the build tree; fall back to the source-relative path.
-    r = LoadSparsityProfile("../bench/profiles/rcv1_sparsity.json");
-  }
+  // WMS_SOURCE_DIR is defined by CMakeLists.txt, so the committed profile is
+  // found wherever the build directory is.
+  auto r = LoadSparsityProfile(WMS_SOURCE_DIR "/bench/profiles/rcv1_sparsity.json");
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r.value().dimension, 47236u);
   ASSERT_TRUE(r.value().Validate().ok());

@@ -22,6 +22,7 @@
 #include "engine/spsc_ring.h"
 #include "linear/dense_linear_model.h"
 #include "metrics/recovery.h"
+#include "util/crc32c.h"
 #include "util/memory_cost.h"
 
 namespace wmsketch {
@@ -70,7 +71,7 @@ TEST(SpscRingTest, OrderPreservedAcrossThreads) {
   std::atomic<bool> fail{false};
   std::thread consumer([&] {
     int expected = 0;
-    int v;
+    int v = 0;
     while (expected < kCount) {
       if (ring.TryPop(&v)) {
         if (v != expected++) {
@@ -100,10 +101,65 @@ TEST(SpscRingTest, CapacityRoundsUpAndBounds) {
   EXPECT_EQ(ring.capacity(), 4u);
   for (int i = 0; i < 4; ++i) EXPECT_TRUE(ring.TryPush(int(i)));
   EXPECT_FALSE(ring.TryPush(99));
-  int v;
+  int v = 0;
   ASSERT_TRUE(ring.TryPop(&v));
   EXPECT_EQ(v, 0);
   EXPECT_TRUE(ring.TryPush(99));
+}
+
+// Heap-owning items of varying sizes cross threads in order and intact,
+// although every pop hands the consumer's old storage back to the producer.
+TEST(SpscRingTest, HeapItemsArriveInOrderAcrossThreads) {
+  SpscRing<std::vector<int>> ring(16);
+  constexpr int kCount = 20000;
+  const auto item = [](int i) { return std::vector<int>(static_cast<size_t>(i % 37), i); };
+  std::atomic<bool> fail{false};
+  std::thread consumer([&] {
+    std::vector<int> out;
+    for (int expected = 0; expected < kCount;) {
+      if (ring.TryPop(&out)) {
+        if (out != item(expected++)) {
+          fail.store(true);
+          return;
+        }
+      } else {
+        std::this_thread::yield();
+      }
+    }
+  });
+  for (int i = 0; i < kCount;) {
+    if (ring.TryPush(item(i))) {
+      ++i;
+    } else {
+      std::this_thread::yield();
+    }
+  }
+  consumer.join();
+  EXPECT_FALSE(fail.load());
+  EXPECT_TRUE(ring.Empty());
+}
+
+// A pop swaps the consumer's storage into the slot; one trip around the ring
+// later a push copies over that storage, so the same buffer comes back out.
+TEST(SpscRingTest, SlotReusesStorageSwappedIntoIt) {
+  SpscRing<std::vector<int>> ring(4);
+  std::vector<int> out;
+  out.reserve(100);
+  const int* recycled = out.data();
+  ASSERT_TRUE(ring.TryPush(std::vector<int>{1, 2, 3}));
+  ASSERT_TRUE(ring.TryPop(&out));
+  EXPECT_EQ(out, (std::vector<int>{1, 2, 3}));
+  std::vector<int> other;
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(ring.TryPush(std::vector<int>(5, i)));
+    ASSERT_TRUE(ring.TryPop(&other));
+  }
+  const std::vector<int> item(50, 7);
+  ASSERT_TRUE(ring.TryPush(item));  // lands in slot 0 again
+  std::vector<int> back;
+  ASSERT_TRUE(ring.TryPop(&back));
+  EXPECT_EQ(back, item);
+  EXPECT_EQ(back.data(), recycled);
 }
 
 // -------------------------------------------------- merge: error paths
@@ -279,6 +335,50 @@ TEST(ShardedLearnerTest, SingleShardIsBitIdenticalToSequential) {
     EXPECT_EQ(engine.Collapse().status().code(), StatusCode::kFailedPrecondition);
     EXPECT_EQ(engine.Push(stream[0]).code(), StatusCode::kFailedPrecondition);
     EXPECT_EQ(engine.SyncNow().code(), StatusCode::kFailedPrecondition);
+  }
+}
+
+// One shard behind a 1024-slot ring, fed far faster than it trains, with a
+// barrier every 3000 examples: the owner blocks on the full ring hundreds of
+// times and at 20 barriers, and the result must still be the sequential
+// model bit for bit.
+TEST(ShardedLearnerTest, SingleShardStressThroughFullRingAndBarriers) {
+  const std::vector<Example> stream =
+      MakeStream(ClassificationProfile::SmallTest(), 5, 60000);
+  Learner sequential = std::move(AwmBuilder().Build()).value();
+  sequential.UpdateBatch(stream);
+
+  ShardedLearner engine = std::move(AwmBuilder().Shards(1).BuildSharded()).value();
+  const std::span<const Example> all(stream);
+  for (size_t at = 0; at < all.size(); at += 3000) {
+    ASSERT_TRUE(engine.PushBatch(all.subspan(at, std::min<size_t>(3000, all.size() - at))).ok());
+    ASSERT_TRUE(engine.SyncNow().ok());
+  }
+  EXPECT_EQ(engine.Stats().per_shard[0], stream.size());
+  Result<Learner> collapsed = engine.Collapse();
+  ASSERT_TRUE(collapsed.ok());
+  EXPECT_EQ(Serialized(collapsed.value()), Serialized(sequential));
+}
+
+// Collapsed 3-shard bytes. Partitioning, per-shard order and the merge order
+// fix every replica's updates, so the bytes are a pure function of the code:
+// how the owner hands examples to the workers or waits for them must not move
+// them, and only a deliberate model or format change re-records them.
+TEST(ShardedLearnerTest, GoldenCollapsedBytes) {
+  const std::vector<Example> stream =
+      MakeStream(ClassificationProfile::SmallTest(), 2024, 20000);
+  for (const auto& [use_wm, crc] : {std::pair{false, 0xf17b552cu}, std::pair{true, 0x047a3ca3u}}) {
+    LearnerBuilder builder = use_wm ? WmBuilder() : AwmBuilder();
+    ShardedLearner engine = std::move(builder.Shards(3).BuildSharded()).value();
+    const std::span<const Example> all(stream);
+    for (size_t at = 0; at < all.size(); at += 4096) {
+      ASSERT_TRUE(engine.PushBatch(all.subspan(at, std::min<size_t>(4096, all.size() - at))).ok());
+      ASSERT_TRUE(engine.SyncNow().ok());
+    }
+    Result<Learner> collapsed = engine.Collapse();
+    ASSERT_TRUE(collapsed.ok());
+    const std::string bytes = Serialized(collapsed.value());
+    EXPECT_EQ(crc32c::Value(bytes.data(), bytes.size()), crc) << (use_wm ? "wm" : "awm");
   }
 }
 
