@@ -241,7 +241,8 @@ inline std::vector<BenchStreamSpec> ResolveBenchStreams(int argc, char** argv,
       std::exit(1);
     }
     BenchStreamSpec spec;
-    spec.suffix = "_" + DatasetStem(libsvm_path);
+    spec.suffix = DatasetStem(libsvm_path);
+    spec.suffix.insert(0, 1, '_');
     for (const Example& ex : r.value()) {
       spec.dimension = std::max<uint32_t>(
           spec.dimension, ex.x.empty() ? 1 : ex.x.index(ex.x.nnz() - 1) + 1);

@@ -34,7 +34,7 @@ struct CheckpointSpec {
 
 /// An immutable, cheaply-copyable view of a learner's queryable state,
 /// decoupled from the live model: the top-K heaviest features materialized
-/// at snapshot time, a frozen per-feature weight estimator, and the scalar
+/// at snapshot time, the model's frozen \ref ReadModel, and the scalar
 /// bookkeeping (step count, memory footprint). Because nothing in a snapshot
 /// aliases live learner state, read paths — report generation, the
 /// PMI/deltoid/explanation applications, concurrent query serving — can hold
@@ -87,7 +87,7 @@ class LearnerSnapshot {
     uint64_t steps;
     size_t memory_cost_bytes;
     std::vector<FeatureWeight> top_k;
-    WeightEstimator estimator;
+    std::shared_ptr<const ReadModel> model;
   };
 
   explicit LearnerSnapshot(std::shared_ptr<const State> state);
@@ -142,17 +142,17 @@ class Learner {
 
   /// Batched margins under the current model (no state change): appends one
   /// margin per example to `*margins`, bit-identical to a PredictMargin
-  /// loop. WM-Sketch and feature hashing hash the whole batch once into the
-  /// per-thread plan arena and prefetch across examples (the read mirror of
-  /// UpdateBatch); the AWM runs its fused per-example loop, which is already
-  /// single-hash for read-only margins. Like PredictMargin this reads the
+  /// loop. Every method pays one virtual dispatch per batch; the sketches
+  /// and feature hashing then run the fused sketch/read_path.h margin, which
+  /// hashes each (feature, row) pair once. Like PredictMargin this reads the
   /// live model — for queries concurrent with training, use a
   /// \ref ServingHandle instead.
   void PredictBatch(std::span<const Example> batch, std::vector<double>* margins) const;
 
   /// Batched live point estimates: appends one estimate per feature id to
   /// `*out`, bit-identical to a WeightEstimate loop. Sketch-backed methods
-  /// hash every key once and answer from one wide signed gather.
+  /// run the fused sketch/read_path.h point query per key, with no virtual
+  /// call per key.
   void EstimateBatch(std::span<const uint32_t> features, std::vector<float>* out) const;
 
   /// OK iff `other`'s model can be merged into this one: same method, same
@@ -170,7 +170,7 @@ class Learner {
 
   /// Takes an immutable snapshot materializing the `top_k` heaviest tracked
   /// features; see \ref LearnerSnapshot. Costs O(budget) — it captures the
-  /// frozen per-feature estimator. Read paths that only need the ranked
+  /// model's frozen ReadModel. Read paths that only need the ranked
   /// list should use TopK() instead.
   LearnerSnapshot Snapshot(size_t top_k = kDefaultSnapshotTopK) const;
   static constexpr size_t kDefaultSnapshotTopK = 128;
@@ -224,7 +224,7 @@ class Learner {
 
   /// The k heaviest tracked features, materialized into a detached vector
   /// (the same list a Snapshot would carry, without paying for the
-  /// estimator capture). Empty for identifier-free methods.
+  /// read-model capture). Empty for identifier-free methods.
   std::vector<FeatureWeight> TopK(size_t k) const;
 
   /// The method this learner runs.

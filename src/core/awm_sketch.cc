@@ -35,40 +35,18 @@ class AwmReadModel final : public ReadModel {
         estimate_factor_(estimate_factor) {}
 
   double PredictMargin(const SparseVector& x) const override {
-    double acc = 0.0;
-    for (size_t i = 0; i < x.nnz(); ++i) {
-      const uint32_t feature = x.index(i);
-      const std::optional<float> raw = active_.Get(feature);
-      const double w = raw.has_value() ? heap_scale_ * static_cast<double>(*raw)
-                                       : static_cast<double>(TailQuery(feature));
-      acc += w * static_cast<double>(x.value(i));
-    }
-    return acc;
-  }
-
-  // A batched AWM margin has no second consumer to share hashes with (no
-  // scatter follows a read-only margin), so the fused per-example loop —
-  // which already hashes each tail (feature, row) pair exactly once — is the
-  // single-hash optimum; a plan would only add buffer traffic.
-  void PredictBatch(std::span<const Example> batch, double* out) const override {
-    for (size_t e = 0; e < batch.size(); ++e) out[e] = PredictMargin(batch[e].x);
+    return readpath::ActiveMargin(pages_.view(), rows_, active_, heap_scale_, x,
+                                  estimate_factor_);
   }
 
   float Estimate(uint32_t feature) const override {
-    const std::optional<float> raw = active_.Get(feature);
-    if (raw.has_value()) return static_cast<float>(heap_scale_ * static_cast<double>(*raw));
-    return TailQuery(feature);
+    return readpath::ActiveEstimate(pages_.view(), rows_, active_, heap_scale_, feature,
+                                    estimate_factor_);
   }
 
   void EstimateBatch(std::span<const uint32_t> features, float* out) const override {
-    readpath::ActiveEstimateBatch(
-        pages_.view(), rows_, features, estimate_factor_,
-        [this](uint32_t feature) -> std::optional<float> {
-          const std::optional<float> raw = active_.Get(feature);
-          if (!raw.has_value()) return std::nullopt;
-          return static_cast<float>(heap_scale_ * static_cast<double>(*raw));
-        },
-        out);
+    readpath::ActiveEstimateBatch(pages_.view(), rows_, active_, heap_scale_, features,
+                                  estimate_factor_, out);
   }
 
   size_t ResidentBytes() const override {
@@ -76,10 +54,6 @@ class AwmReadModel final : public ReadModel {
   }
 
  private:
-  float TailQuery(uint32_t feature) const {
-    return readpath::FusedEstimate(pages_.view(), rows_, feature, estimate_factor_);
-  }
-
   TopKHeap active_;  // raw active-set weights
   double heap_scale_;
   std::vector<SignedBucketHash> rows_;
@@ -105,19 +79,11 @@ AwmSketch::AwmSketch(const AwmSketchConfig& config, const LearnerOptions& opts)
 
 double AwmSketch::PredictMargin(const SparseVector& x) const {
   // τ = Σ_{i∈S} S[i]·x_i + zᵀR·x_tail (Algorithm 2's prediction split).
-  // Standalone queries keep the fused loop (each tail pair hashed once);
+  // Read-only margins run the fused template (each tail pair hashed once);
   // updates route through PredictMarginWithPlan so the tail hashes are
   // reused by the gradient stage.
-  double acc = 0.0;
-  for (size_t i = 0; i < x.nnz(); ++i) {
-    const uint32_t feature = x.index(i);
-    const std::optional<float> exact = heap_.Get(feature);
-    const double w = exact.has_value()
-                         ? heap_scale_ * static_cast<double>(*exact)
-                         : static_cast<double>(SketchQuery(feature));
-    acc += w * static_cast<double>(x.value(i));
-  }
-  return acc;
+  return readpath::ActiveMargin(table_.data(), rows_, heap_, heap_scale_, x,
+                                sqrt_depth_ * sketch_scale_);
 }
 
 double AwmSketch::PredictMarginWithPlan(const SparseVector& x, HashPlan& plan) const {
@@ -135,21 +101,9 @@ double AwmSketch::PredictMarginWithPlan(const SparseVector& x, HashPlan& plan) c
   return acc;
 }
 
-void AwmSketch::PredictBatch(std::span<const Example> batch, double* margins) const {
-  // Read-only margins have no scatter stage to share hashes with, so the
-  // fused loop is already single-hash; see AwmReadModel::PredictBatch.
-  for (size_t e = 0; e < batch.size(); ++e) margins[e] = PredictMargin(batch[e].x);
-}
-
 void AwmSketch::EstimateBatch(std::span<const uint32_t> features, float* out) const {
-  readpath::ActiveEstimateBatch(
-      table_.data(), rows_, features, sqrt_depth_ * sketch_scale_,
-      [this](uint32_t feature) -> std::optional<float> {
-        const std::optional<float> raw = heap_.Get(feature);
-        if (!raw.has_value()) return std::nullopt;
-        return static_cast<float>(heap_scale_ * static_cast<double>(*raw));
-      },
-      out);
+  readpath::ActiveEstimateBatch(table_.data(), rows_, heap_, heap_scale_, features,
+                                sqrt_depth_ * sketch_scale_, out);
 }
 
 std::unique_ptr<const ReadModel> AwmSketch::MakeReadModel() const {
@@ -158,15 +112,7 @@ std::unique_ptr<const ReadModel> AwmSketch::MakeReadModel() const {
 }
 
 float AwmSketch::SketchQuery(uint32_t feature) const {
-  float est[kMaxDepth];
-  for (uint32_t j = 0; j < config_.depth; ++j) {
-    uint32_t bucket;
-    float sign;
-    rows_[j].BucketAndSign(feature, &bucket, &sign);
-    est[j] = sign * Row(j)[bucket];
-  }
-  const float raw = MedianInPlace(est, config_.depth);
-  return static_cast<float>(sqrt_depth_ * sketch_scale_ * static_cast<double>(raw));
+  return readpath::FusedEstimate(table_.data(), rows_, feature, sqrt_depth_ * sketch_scale_);
 }
 
 float AwmSketch::SketchQueryFromPlan(HashPlan& plan, size_t i, uint32_t feature) const {
@@ -363,28 +309,6 @@ std::unique_ptr<BudgetedClassifier> AwmSketch::Clone() const {
   return std::make_unique<AwmSketch>(*this);
 }
 
-WeightEstimator AwmSketch::EstimatorSnapshot() const {
-  // Tail pages shared with every other snapshot (O(dirty) capture); the
-  // closure's tail answer is the paged fused estimate, bit-identical to the
-  // live SketchQuery at capture time.
-  struct State {
-    TopKHeap active;  // raw active-set weights
-    std::vector<SignedBucketHash> rows;
-    PageSet<float> pages;
-    double heap_scale;
-    double sketch_scale;  // √s·α, the factor SketchQuery applies
-  };
-  auto shared = std::make_shared<const State>(
-      State{heap_, rows_, table_.SharePages(), heap_scale_, sqrt_depth_ * sketch_scale_});
-  return [shared](uint32_t feature) {
-    if (const std::optional<float> raw = shared->active.Get(feature)) {
-      return static_cast<float>(shared->heap_scale * static_cast<double>(*raw));
-    }
-    return readpath::FusedEstimate(shared->pages.view(), shared->rows, feature,
-                                   shared->sketch_scale);
-  };
-}
-
 void AwmSketch::MaybeRescale() {
   if (sketch_scale_ < kMinScale) {
     table_.MarkAllDirty();
@@ -398,9 +322,8 @@ void AwmSketch::MaybeRescale() {
 }
 
 float AwmSketch::WeightEstimate(uint32_t feature) const {
-  const std::optional<float> exact = heap_.Get(feature);
-  if (exact.has_value()) return static_cast<float>(heap_scale_ * static_cast<double>(*exact));
-  return SketchQuery(feature);
+  return readpath::ActiveEstimate(table_.data(), rows_, heap_, heap_scale_, feature,
+                                  sqrt_depth_ * sketch_scale_);
 }
 
 std::vector<FeatureWeight> AwmSketch::TopK(size_t k) const {

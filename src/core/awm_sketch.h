@@ -69,19 +69,15 @@ class AwmSketch final : public BudgetedClassifier {
   /// Constructs the sketch; hash rows are derived from opts.seed.
   AwmSketch(const AwmSketchConfig& config, const LearnerOptions& opts);
 
-  /// Plan-driven: hashes each (feature, row) pair exactly once per call.
+  /// Algorithm 2's margin through readpath::ActiveMargin: active-set
+  /// members answer exactly, each tail (feature, row) pair is hashed once.
   double PredictMargin(const SparseVector& x) const override;
-  /// Batched margins. As with UpdateBatch, the AWM cannot hash a batch up
-  /// front (membership decides which features touch the sketch), so each
-  /// example runs through one lazy per-thread plan — bit-identical to the
-  /// PredictMargin loop.
-  void PredictBatch(std::span<const Example> batch, double* margins) const override;
-  /// Batched point estimates: active-set hits answer exactly; the tail
-  /// batches through a hash-once + wide-gather median path. Bit-identical
-  /// to a WeightEstimate loop.
+  /// Batched point estimates through readpath::ActiveEstimateBatch —
+  /// bit-identical to a WeightEstimate loop.
   void EstimateBatch(std::span<const uint32_t> features, float* out) const override;
-  /// Frozen read model: the active set (raw weights + scale) plus a copy of
-  /// the tail sketch, with the batched read paths.
+  /// Frozen read model: a copy of the active set (raw weights + scale) plus
+  /// the published tail-table pages, answering through the same
+  /// sketch/read_path.h templates as the live reads.
   std::unique_ptr<const ReadModel> MakeReadModel() const override;
   /// One step from a single per-example hash plan: the margin's tail
   /// queries, the candidate queries, and the tail scatters reuse the same
@@ -109,9 +105,6 @@ class AwmSketch final : public BudgetedClassifier {
   Status ScaleWeights(double factor) override;
   Status SetSteps(uint64_t steps) override;
   std::unique_ptr<BudgetedClassifier> Clone() const override;
-  /// Frozen estimator capturing the active-set weights plus copies of the
-  /// hash rows, tail table, and scales.
-  WeightEstimator EstimatorSnapshot() const override;
   /// The top-k of the active set (exact weights); the active set *is* the
   /// AWM-Sketch's answer to top-K queries.
   std::vector<FeatureWeight> TopK(size_t k) const override;
@@ -156,9 +149,6 @@ class AwmSketch final : public BudgetedClassifier {
   void MaybeRescale();
 
   float* Row(uint32_t j) { return table_.data() + static_cast<size_t>(j) * config_.width; }
-  const float* Row(uint32_t j) const {
-    return table_.data() + static_cast<size_t>(j) * config_.width;
-  }
 
   AwmSketchConfig config_;
   LearnerOptions opts_;

@@ -75,24 +75,11 @@ WmSketch::WmSketch(const WmSketchConfig& config, const LearnerOptions& opts)
 }
 
 double WmSketch::PredictMargin(const SparseVector& x) const {
-  // τ = zᵀRx = (α/√s)·Σ_i x_i Σ_j σ_j(i)·v[j, h_j(i)]. The standalone query
-  // path keeps the fused hash-and-accumulate loop: it already hashes each
-  // pair once, and materializing a plan here would only add buffer traffic.
-  // Updates compute this same sum through their plan (MarginFromPlan) so the
-  // hashes are reused by the scatter and heap stages.
-  double acc = 0.0;
-  for (size_t i = 0; i < x.nnz(); ++i) {
-    const uint32_t feature = x.index(i);
-    double per_feature = 0.0;
-    for (uint32_t j = 0; j < config_.depth; ++j) {
-      uint32_t bucket;
-      float sign;
-      rows_[j].BucketAndSign(feature, &bucket, &sign);
-      per_feature += static_cast<double>(sign) * static_cast<double>(Row(j)[bucket]);
-    }
-    acc += per_feature * static_cast<double>(x.value(i));
-  }
-  return scale_ / sqrt_depth_ * acc;
+  // τ = zᵀRx = (α/√s)·Σ_i x_i Σ_j σ_j(i)·v[j, h_j(i)]. A read-only margin
+  // hashes each pair once in the fused loop; updates compute this same sum
+  // through their plan (MarginFromPlan) so the hashes are reused by the
+  // scatter and heap stages.
+  return readpath::FusedMargin(table_.data(), rows_, x, scale_ / sqrt_depth_);
 }
 
 void WmSketch::PredictBatch(std::span<const Example> batch, double* margins) const {
@@ -108,10 +95,8 @@ std::unique_ptr<const ReadModel> WmSketch::MakeReadModel() const {
                                        sqrt_depth_ * scale_);
 }
 
-double WmSketch::MarginFromPlan(const simd::PlanView& plan, const SparseVector& x,
-                                float* scratch) const {
-  return scale_ / sqrt_depth_ *
-         simd::PlanMargin(table_.data(), plan, x.values().data(), scratch);
+double WmSketch::MarginFromPlan(const simd::PlanView& plan, const SparseVector& x) const {
+  return scale_ / sqrt_depth_ * simd::PlanMargin(table_.data(), plan, x.values().data());
 }
 
 double WmSketch::Update(const SparseVector& x, int8_t y) {
@@ -119,12 +104,12 @@ double WmSketch::Update(const SparseVector& x, int8_t y) {
   // margin, the gradient scatter, and the heap offers below.
   HashPlan& plan = TlsPlan();
   plan.Build(rows_, x);
-  return UpdateWithPlan(x, y, plan.View(), plan.scratch());
+  return UpdateWithPlan(x, y, plan.View());
 }
 
 double WmSketch::UpdateWithPlan(const SparseVector& x, int8_t y,
-                                const simd::PlanView& plan, float* scratch) {
-  const double margin = MarginFromPlan(plan, x, scratch);
+                                const simd::PlanView& plan) {
+  const double margin = MarginFromPlan(plan, x);
   ++t_;
   const double eta = opts_.rate.Rate(t_);
   const double g = opts_.loss->Derivative(static_cast<double>(y) * margin);
@@ -157,7 +142,7 @@ double WmSketch::UpdateWithPlan(const SparseVector& x, int8_t y,
       heap_.Offer(x.index(i), RawMedianFromPlan(plan, i));
     }
   } else {
-    simd::PlanScatter(table_.data(), plan, x.values().data(), step, scratch);
+    simd::PlanScatter(table_.data(), plan, x.values().data(), step);
   }
   MaybeRescale();
   return margin;
@@ -172,26 +157,9 @@ void WmSketch::UpdateBatch(std::span<const Example> batch, std::vector<double>* 
   arena.Build(rows_, batch);
   for (size_t e = 0; e < batch.size(); ++e) {
     if (e + 1 < batch.size()) arena.PrefetchTable(table_.data(), e + 1);
-    const double margin =
-        UpdateWithPlan(batch[e].x, batch[e].y, arena.View(e), arena.scratch());
+    const double margin = UpdateWithPlan(batch[e].x, batch[e].y, arena.View(e));
     if (margins != nullptr) margins->push_back(margin);
   }
-}
-
-WeightEstimator WmSketch::EstimatorSnapshot() const {
-  // Shares published pages with every other snapshot (O(dirty) capture, not
-  // O(budget)); the closure is the paged fused estimate, bit-identical to
-  // the live WeightEstimate at capture time.
-  struct State {
-    std::vector<SignedBucketHash> rows;
-    PageSet<float> pages;
-    double scale;  // √s·α, the factor WeightEstimate applies to raw medians
-  };
-  auto st = std::make_shared<const State>(
-      State{rows_, table_.SharePages(), sqrt_depth_ * scale_});
-  return [st](uint32_t feature) {
-    return readpath::FusedEstimate(st->pages.view(), st->rows, feature, st->scale);
-  };
 }
 
 Status WmSketch::CanMerge(const BudgetedClassifier& other) const {
@@ -260,14 +228,8 @@ std::unique_ptr<BudgetedClassifier> WmSketch::Clone() const {
 }
 
 float WmSketch::RawMedian(uint32_t feature) const {
-  float est[kMaxDepth];
-  for (uint32_t j = 0; j < config_.depth; ++j) {
-    uint32_t bucket;
-    float sign;
-    rows_[j].BucketAndSign(feature, &bucket, &sign);
-    est[j] = sign * Row(j)[bucket];
-  }
-  return MedianInPlace(est, config_.depth);
+  // float(1.0 · median) is the median itself.
+  return readpath::FusedEstimate(table_.data(), rows_, feature, 1.0);
 }
 
 float WmSketch::RawMedianFromPlan(const simd::PlanView& plan, size_t i) const {
@@ -288,7 +250,7 @@ void WmSketch::MaybeRescale() {
 
 float WmSketch::WeightEstimate(uint32_t feature) const {
   // ŵ_i = median_j(√s·σ_j(i)·z[j,h_j(i)]) = √s·α·RawMedian(i).
-  return static_cast<float>(sqrt_depth_ * scale_ * static_cast<double>(RawMedian(feature)));
+  return readpath::FusedEstimate(table_.data(), rows_, feature, sqrt_depth_ * scale_);
 }
 
 std::vector<FeatureWeight> WmSketch::TopK(size_t k) const {

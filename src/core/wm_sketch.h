@@ -67,15 +67,17 @@ class WmSketch final : public BudgetedClassifier {
   /// Requires config.width a power of two and 1 <= depth <= kMaxDepth.
   WmSketch(const WmSketchConfig& config, const LearnerOptions& opts);
 
-  /// Plan-driven: hashes each (feature, row) pair exactly once per call.
+  /// The fused margin (sketch/read_path.h): each (feature, row) pair hashed
+  /// exactly once per call.
   double PredictMargin(const SparseVector& x) const override;
-  /// Batched margins through the plan arena: whole batch hashed once,
-  /// cross-example prefetch, SIMD gathers — bit-identical to the loop.
+  /// Batched margins through the same fused kernel — bit-identical to the
+  /// loop.
   void PredictBatch(std::span<const Example> batch, double* margins) const override;
-  /// Batched point estimates: all keys hashed once, one wide signed gather,
-  /// per-key medians — bit-identical to a WeightEstimate loop.
+  /// Batched point estimates through the same fused median kernel —
+  /// bit-identical to a WeightEstimate loop.
   void EstimateBatch(std::span<const uint32_t> features, float* out) const override;
-  /// Frozen table-backed read model with the batched SIMD read paths.
+  /// Frozen read model over the published table pages, answering through
+  /// the same sketch/read_path.h kernels as the live reads.
   std::unique_ptr<const ReadModel> MakeReadModel() const override;
   /// One OGD step from a single per-example hash plan: the margin, the
   /// gradient scatter, and the heap offers all reuse the same nnz×depth
@@ -98,8 +100,6 @@ class WmSketch final : public BudgetedClassifier {
   Status ScaleWeights(double factor) override;
   Status SetSteps(uint64_t steps) override;
   std::unique_ptr<BudgetedClassifier> Clone() const override;
-  /// Frozen estimator capturing copies of the hash rows, table, and scale.
-  WeightEstimator EstimatorSnapshot() const override;
   std::vector<FeatureWeight> TopK(size_t k) const override;
   size_t MemoryCostBytes() const override { return config_.MemoryCostBytes(); }
   size_t ResidentStorageBytes() const override {
@@ -126,26 +126,19 @@ class WmSketch final : public BudgetedClassifier {
   float RawMedian(uint32_t feature) const;
   /// RawMedian for feature slot `i` of a plan (no re-hash).
   float RawMedianFromPlan(const simd::PlanView& plan, size_t i) const;
-  /// The margin τ from a prebuilt plan; `scratch` holds plan.entries() floats.
-  double MarginFromPlan(const simd::PlanView& plan, const SparseVector& x,
-                        float* scratch) const;
+  /// The margin τ from a prebuilt plan.
+  double MarginFromPlan(const simd::PlanView& plan, const SparseVector& x) const;
   /// The Update body once the plan exists (shared by Update and UpdateBatch).
-  double UpdateWithPlan(const SparseVector& x, int8_t y, const simd::PlanView& plan,
-                        float* scratch);
+  double UpdateWithPlan(const SparseVector& x, int8_t y, const simd::PlanView& plan);
   void MaybeRescale();
-
-  float* Row(uint32_t j) { return table_.data() + static_cast<size_t>(j) * config_.width; }
-  const float* Row(uint32_t j) const {
-    return table_.data() + static_cast<size_t>(j) * config_.width;
-  }
 
   WmSketchConfig config_;
   LearnerOptions opts_;
   std::vector<SignedBucketHash> rows_;
   // Raw v (z = scale_ * v) in copy-on-write paged storage: the live arena
-  // stays contiguous (hot paths and Row() unchanged); MakeReadModel /
-  // EstimatorSnapshot publish refcounted pages, copying only those dirtied
-  // since the previous publication.
+  // stays contiguous for the hot paths; MakeReadModel
+  // publishes refcounted pages, copying only those dirtied since the
+  // previous publication.
   PagedTable table_;
   double scale_ = 1.0;        // α
   double sqrt_depth_;         // √s, applied at predict/query time

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -16,35 +15,42 @@
 
 namespace wmsketch {
 
-/// A self-contained per-feature weight estimator: captures (copies of)
-/// whatever state it needs at creation time, so it stays valid — and keeps
-/// answering from the same frozen model — after the classifier that produced
-/// it is further trained or destroyed. The budget constraint is what makes
-/// this cheap: a classifier's entire state is at most its byte budget.
-using WeightEstimator = std::function<float(uint32_t)>;
-
 /// An immutable, self-contained *frozen read model*: everything needed to
 /// answer margins and point estimates from one moment of a classifier's
-/// life, decoupled from the live (mutating) model. This is the structured
-/// sibling of \ref WeightEstimator — where the estimator is a single frozen
-/// point-query closure, a ReadModel additionally carries the batched SIMD
-/// read paths (plan-driven margins, wide gathered medians), which is what
-/// the wait-free serving layer (src/engine/serving.h) publishes to readers.
+/// life, decoupled from the live (mutating) model — it stays valid, and
+/// keeps answering from the same frozen state, after the classifier that
+/// produced it is further trained or destroyed. It is the one frozen
+/// capture in the library: LearnerSnapshot holds one, and the wait-free
+/// serving layer (src/engine/serving.h) publishes one to readers. The
+/// budget constraint is what makes a capture cheap: a classifier's entire
+/// state is at most its byte budget, and the table-backed models share
+/// unchanged pages with earlier captures.
 ///
-/// Contract: every method is const, thread-safe, and allocation-free on the
-/// steady state (per-thread plan scratch only ever grows), so any number of
-/// reader threads may query one ReadModel concurrently.
+/// The sketches and feature hashing answer through the fused templates of
+/// sketch/read_path.h over their published pages — the same code the live
+/// model reads with — so a frozen answer is bit-identical to the live
+/// answer at capture time.
+///
+/// Contract: every method is const, thread-safe, and allocation-free, so
+/// any number of reader threads may query one ReadModel concurrently.
 class ReadModel {
  public:
   virtual ~ReadModel() = default;
 
-  /// The margin wᵀx under the frozen model.
-  virtual double PredictMargin(const SparseVector& x) const = 0;
+  /// The margin wᵀx under the frozen model. The default is the linear
+  /// functional Σᵢ Estimate(i)·xᵢ of the frozen estimates, accumulated in
+  /// double; the sketches and feature hashing override it with their fused
+  /// margin kernels.
+  virtual double PredictMargin(const SparseVector& x) const {
+    double acc = 0.0;
+    for (size_t i = 0; i < x.nnz(); ++i) {
+      acc += static_cast<double>(Estimate(x.index(i))) * static_cast<double>(x.value(i));
+    }
+    return acc;
+  }
 
   /// Batched margins: out[e] = PredictMargin(batch[e].x), bit-identical to
-  /// the loop. Methods with a plan-driven read path override it to hash the
-  /// whole batch up front and prefetch across examples (see
-  /// sketch/read_path.h); the default is the plain loop.
+  /// the loop (which is the default).
   virtual void PredictBatch(std::span<const Example> batch, double* out) const {
     for (size_t e = 0; e < batch.size(); ++e) out[e] = PredictMargin(batch[e].x);
   }
@@ -53,8 +59,8 @@ class ReadModel {
   virtual float Estimate(uint32_t feature) const = 0;
 
   /// Batched point estimates: out[i] = Estimate(features[i]), bit-identical
-  /// to the loop; sketch-backed overrides hash all keys once and run one
-  /// wide signed gather.
+  /// to the loop; sketch-backed overrides run the read_path.h batch
+  /// template without a virtual call per key.
   virtual void EstimateBatch(std::span<const uint32_t> features, float* out) const {
     for (size_t i = 0; i < features.size(); ++i) out[i] = Estimate(features[i]);
   }
@@ -62,9 +68,9 @@ class ReadModel {
   /// Bytes of model state this frozen view keeps alive. Page-backed models
   /// (the sketches, feature hashing) report the pages they pin plus
   /// metadata — pages shared with other snapshots count in full (see
-  /// PageSet::ResidentBytes). The default (closure-backed baselines) reports
-  /// 0: their capture is opaque to this accounting.
-  virtual size_t ResidentBytes() const { return 0; }
+  /// PageSet::ResidentBytes); heap- and vector-backed models report their
+  /// copy.
+  virtual size_t ResidentBytes() const = 0;
 };
 
 /// Hyperparameters shared by every online linear learner in the library.
@@ -120,8 +126,7 @@ class BudgetedClassifier {
 
   /// Batched read-only margins: out[e] = PredictMargin(batch[e].x), bit-
   /// identical to the loop. WM-Sketch and feature hashing override it with
-  /// the plan-arena path (whole batch hashed once, cross-example prefetch,
-  /// SIMD gathers); the AWM overrides it with its lazy per-example plan.
+  /// the sketch/read_path.h batch template (no virtual call per example).
   /// NOTE: reads the live model — it races with concurrent updates exactly
   /// like PredictMargin does. Concurrent serving goes through a published
   /// ReadModel (engine/serving.h) instead.
@@ -130,27 +135,21 @@ class BudgetedClassifier {
   }
 
   /// Batched point estimates: out[i] = WeightEstimate(features[i]), bit-
-  /// identical to the loop; sketch-backed methods override with a
-  /// hash-once + wide-gather path (sketch/read_path.h).
+  /// identical to the loop; sketch-backed methods override with the
+  /// sketch/read_path.h batch templates (one fused hash-and-read pass per
+  /// key, no virtual call per key).
   virtual void EstimateBatch(std::span<const uint32_t> features, float* out) const {
     for (size_t i = 0; i < features.size(); ++i) out[i] = WeightEstimate(features[i]);
   }
 
-  /// Returns a frozen, self-contained weight estimator (see
-  /// \ref WeightEstimator). The default materializes every tracked entry
-  /// from TopK(); classifiers whose estimates are not exhausted by their
-  /// tracked identifiers (the sketches, feature hashing, the dense model)
-  /// override it to capture their table state instead.
-  virtual WeightEstimator EstimatorSnapshot() const;
-
   /// Returns a frozen \ref ReadModel capturing this classifier's current
-  /// queryable state (O(budget) copy). The default wraps EstimatorSnapshot:
-  /// Estimate answers from the frozen estimator and PredictMargin is the
-  /// linear functional Σᵢ Estimate(i)·xᵢ of the frozen estimates — exact for
-  /// every method whose live margin is that same functional of its tracked
-  /// weights (all Sec. 7 baselines), up to the per-term rounding of the
-  /// frozen float estimates. The sketches and feature hashing override it
-  /// with table-backed models carrying the batched SIMD read paths.
+  /// queryable state (O(budget) copy at most). The default serves the
+  /// heap-backed Sec. 7 baselines (truncation, Space-Saving, CM-FF), which
+  /// keep every nonzero weight behind a tracked identifier: it copies the
+  /// full TopK into a TopKHeap, Estimate answers from it (0 for untracked
+  /// ids), and PredictMargin is the linear functional of those estimates —
+  /// the live margin up to the per-term rounding of the float estimates.
+  /// The sketches, feature hashing and the dense model override it.
   virtual std::unique_ptr<const ReadModel> MakeReadModel() const;
 
   /// Point estimate ŵᵢ of the uncompressed model's weight for `feature`.
@@ -246,10 +245,8 @@ class BudgetedClassifier {
 std::vector<FeatureWeight> ScanTopK(const BudgetedClassifier& model, size_t k,
                                     uint32_t dimension);
 
-/// The same exhaustive scan over any point-estimate source (e.g. a frozen
-/// \ref WeightEstimator); the model overload and LearnerSnapshot::ScanTopK
-/// both delegate here.
-std::vector<FeatureWeight> ScanTopK(const WeightEstimator& estimator, size_t k,
-                                    uint32_t dimension);
+/// The same exhaustive scan over a frozen \ref ReadModel's estimates
+/// (LearnerSnapshot::ScanTopK delegates here).
+std::vector<FeatureWeight> ScanTopK(const ReadModel& model, size_t k, uint32_t dimension);
 
 }  // namespace wmsketch

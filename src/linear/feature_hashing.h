@@ -38,14 +38,15 @@ class FeatureHashingClassifier final : public BudgetedClassifier {
   /// Constructs with `buckets` hashed weights (power of two).
   FeatureHashingClassifier(uint32_t buckets, const LearnerOptions& opts);
 
-  /// Plan-driven (depth-1 plan): one hash per feature per call.
+  /// Fused loop: one hash per feature per call.
   double PredictMargin(const SparseVector& x) const override;
-  /// Batched margins through the plan arena (whole batch hashed once,
-  /// cross-example prefetch) — bit-identical to the loop.
+  /// Batched margins through the depth-1 sketch/read_path.h kernel —
+  /// bit-identical to the loop.
   void PredictBatch(std::span<const Example> batch, double* margins) const override;
-  /// Batched point estimates via one wide signed gather.
+  /// Batched point estimates through the depth-1 fused estimate kernel.
   void EstimateBatch(std::span<const uint32_t> features, float* out) const override;
-  /// Frozen table-backed read model with the batched SIMD read paths.
+  /// Frozen read model over the published table pages, answering through
+  /// the sketch/read_path.h kernels.
   std::unique_ptr<const ReadModel> MakeReadModel() const override;
   double Update(const SparseVector& x, int8_t y) override;
   /// Devirtualized batch ingest (bit-identical to a loop of Update): the
@@ -53,8 +54,6 @@ class FeatureHashingClassifier final : public BudgetedClassifier {
   /// table prefetch.
   void UpdateBatch(std::span<const Example> batch, std::vector<double>* margins) override;
   float WeightEstimate(uint32_t feature) const override;
-  /// Frozen estimator capturing copies of the bucket hash and table.
-  WeightEstimator EstimatorSnapshot() const override;
   /// Feature hashing stores no identifiers; native top-K is empty (use
   /// ScanTopK to rank an explicit universe).
   std::vector<FeatureWeight> TopK(size_t k) const override;
@@ -76,8 +75,7 @@ class FeatureHashingClassifier final : public BudgetedClassifier {
       snapshot::SnapshotReader&, const LearnerOptions&);
 
   /// The Update body once the plan exists (shared by Update and UpdateBatch).
-  double UpdateWithPlan(const SparseVector& x, int8_t y, const simd::PlanView& plan,
-                        float* scratch);
+  double UpdateWithPlan(const SparseVector& x, int8_t y, const simd::PlanView& plan);
   void MaybeRescale();
 
   LearnerOptions opts_;

@@ -57,9 +57,10 @@ inline void AppendPlanEntries(std::span<const SignedBucketHash> rows,
 /// depth×width table (j·width + bucket, as uint32_t) so the kernels index
 /// the table directly; signs are ±1.0f.
 ///
-/// This is scratch, not model state: it holds no learned information, and
-/// the sketches obtain one per thread via TlsPlan() rather than carrying one
-/// per instance (so clones, merges, and serialization never see it).
+/// This is a working buffer, not model state: it holds no learned
+/// information, and the sketches obtain one per thread via TlsPlan() rather
+/// than carrying one per instance (so clones, merges, and serialization
+/// never see it).
 class HashPlan {
  public:
   /// Hashes every (feature, row) pair of `x` once. All rows must share one
@@ -115,14 +116,9 @@ class HashPlan {
   size_t nnz() const { return nnz_; }
   uint32_t depth() const { return depth_; }
 
-  /// Kernel scratch of nnz·depth floats, grown on demand (mutable: scratch
-  /// never carries state across calls).
-  float* scratch() const;
-
  private:
   std::vector<uint32_t> offsets_;
   std::vector<float> signs_;
-  mutable std::vector<float> scratch_;
   size_t nnz_ = 0;
   uint32_t depth_ = 1;
 };
@@ -140,7 +136,6 @@ class HashPlanArena {
     signs_.clear();
     starts_.clear();
     starts_.reserve(batch.size() + 1);
-    max_entries_ = 0;
     size_t total = 0;
     for (const Example& ex : batch) total += ex.x.nnz() * depth_;
     offsets_.reserve(total);
@@ -148,8 +143,6 @@ class HashPlanArena {
     for (const Example& ex : batch) {
       starts_.push_back(offsets_.size());
       detail::AppendPlanEntries(rows, ex.x, offsets_, signs_);
-      const size_t entries = offsets_.size() - starts_.back();
-      if (entries > max_entries_) max_entries_ = entries;
     }
     starts_.push_back(offsets_.size());
   }
@@ -174,19 +167,14 @@ class HashPlanArena {
     }
   }
 
-  /// Kernel scratch sized for the largest example in the arena.
-  float* scratch() const;
-
  private:
   std::vector<uint32_t> offsets_;
   std::vector<float> signs_;
   std::vector<size_t> starts_;
-  mutable std::vector<float> scratch_;
-  size_t max_entries_ = 0;
   uint32_t depth_ = 1;
 };
 
-/// Thread-local plan / arena scratch shared by the single-hash hot paths.
+/// Thread-local plan / arena buffers shared by the single-hash hot paths.
 /// Each Build overwrites the previous contents, so a caller must finish
 /// consuming a plan before anything else on the thread builds a new one
 /// (updates never nest, so this holds structurally).

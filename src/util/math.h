@@ -49,12 +49,14 @@ inline void CSwap(float& a, float& b) {
 }  // namespace detail
 
 /// Median of a small fixed buffer (the per-query path for depth-s sketches);
-/// `n` must be >= 1 and the buffer is reordered. Depths 1–7 — every depth
-/// the paper's configurations use — run an optimal sorting network instead
-/// of std::nth_element: the per-feature heap offer in the update loop calls
-/// this once per nonzero, and the nth_element call overhead dominated the
-/// work at these sizes. Returns the same order statistic (lower-middle
-/// element) on every path.
+/// `n` must be >= 1 and the buffer is reordered. Depths 1–7 — the AWM's
+/// depth-1 tail and the hand-set WM shapes of the paper's sweeps — run an
+/// optimal sorting network instead of std::nth_element: the per-feature
+/// heap offer in the update loop calls this once per nonzero, and the
+/// nth_element call overhead dominated the work at these sizes. Deeper
+/// sketches — including the planner's default WM shapes, depth 14, 30 and
+/// 31 at 8, 16 and 32 KB — take simd::MedianLarge. Returns the same order
+/// statistic (lower-middle element) on every path.
 inline float MedianInPlace(float* v, size_t n) {
   using detail::CSwap;
   switch (n) {
@@ -129,19 +131,6 @@ constexpr uint64_t NextPowerOfTwo(uint64_t x) {
   uint64_t p = 1;
   while (p < x) p <<= 1;
   return p;
-}
-
-/// Euclidean (L2) norm of a vector (AVX2 table sweep when available; the
-/// vector reduction reorders the sum, so compare with tolerance).
-inline double L2Norm(const std::vector<float>& v) {
-  return std::sqrt(simd::L2NormSquared(v.data(), v.size()));
-}
-
-/// L1 norm of a vector.
-inline double L1Norm(const std::vector<float>& v) {
-  double s = 0.0;
-  for (float x : v) s += std::fabs(static_cast<double>(x));
-  return s;
 }
 
 }  // namespace wmsketch

@@ -103,8 +103,8 @@ struct PagedView {
   T operator[](size_t off) const { return pages[off >> shift][off & mask]; }
 };
 
-/// One published, immutable set of table pages: what a frozen ReadModel /
-/// estimator closure holds instead of a table copy. Copying a PageSet (or
+/// One published, immutable set of table pages: what a frozen ReadModel
+/// holds instead of a table copy. Copying a PageSet (or
 /// holding several from different publishes) shares page storage; pages are
 /// freed when the last PageSet referencing them dies.
 template <typename T>

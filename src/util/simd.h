@@ -18,11 +18,11 @@ struct PlanView {
   size_t entries() const { return nnz * depth; }
 };
 
-/// True when the CPU supports the AVX2+FMA kernels (and they were compiled
-/// in, i.e. the build had WMS_SIMD on and targets x86-64).
+/// True when the CPU supports AVX2+FMA and the vector kernel was compiled in
+/// (the build had WMS_SIMD on and targets x86-64).
 bool Available();
 
-/// True when the AVX2 kernels are actually dispatched to: Available(), not
+/// True when the AVX2 kernel is actually dispatched to: Available(), not
 /// killed by the WMS_SIMD_DISABLE environment variable, and not turned off
 /// via SetEnabled(false).
 bool Enabled();
@@ -36,50 +36,43 @@ void SetEnabled(bool on);
 const char* ActiveKernel();
 
 /// Lower-middle order statistic of v[0..n) for n >= 8 — the median path for
-/// sketch depths beyond the util/math.h sorting networks. The AVX2 variant
-/// is a branchless rank-counting selection (8 comparisons per instruction,
-/// no data-dependent partitioning); the scalar fallback is nth_element. Both
-/// return the value of the same order statistic, so the paths are
-/// bit-identical; only the scalar path reorders `v`.
+/// sketch depths beyond the util/math.h sorting networks, and the one
+/// dispatched vector kernel. The AVX2 variant is a branchless rank-counting
+/// selection (8 comparisons per instruction, no data-dependent
+/// partitioning); the scalar fallback is nth_element. Both return the value
+/// of the same order statistic, so the paths are bit-identical; only the
+/// scalar path reorders `v`.
 float MedianLarge(float* v, size_t n);
 
+// The plan and table kernels below are plain scalar loops on every path:
+// none of their vector versions won on a measured workload.
+
 /// out[e] = signs[e] · table[offsets[e]] — the per-feature plan read behind
-/// PlanMargin and the update paths' raw medians. Scalar on every path: at
-/// update sizes a hardware gather did not measurably beat this loop.
+/// the update paths' raw medians.
 void GatherSigned(const float* table, const uint32_t* offsets, const float* signs,
                   size_t n, float* out);
 
 /// The plan-driven margin accumulation Σᵢ xᵢ · Σⱼ signs[i·d+j] ·
 /// table[offsets[i·d+j]], with the per-feature inner sums and the outer
-/// accumulation in double, in exactly the seed evaluation order.
-/// `scratch` must hold plan.entries() floats.
-double PlanMargin(const float* table, const PlanView& plan, const float* values,
-                  float* scratch);
+/// accumulation in double, in exactly the seed evaluation order — one fused
+/// pass over the plan.
+double PlanMargin(const float* table, const PlanView& plan, const float* values);
 
-/// The signed gradient scatter table[offsets[i·d+j]] -= float(step·values[i])
-/// · signs[i·d+j] over the whole plan. Only valid when no other read is
-/// interleaved per feature (no tracking heap); the heap-tracking sketches
-/// scatter per-feature instead. `scratch` must hold plan.nnz floats.
-/// Bit-identical across paths: the AVX2 side vectorizes only the per-feature
-/// step·valueᵢ products (sign application and stores are exact), and on
-/// AVX-512F+CD parts the stores themselves run as masked vpscatterdps rounds
-/// with vpconflictd serializing duplicate offsets in lane order, so even
-/// colliding entries see the exact scalar store sequence. The AVX-512 route
-/// rides under the same Enabled()/ActiveKernel() "avx2" tag — it is a wider
-/// implementation of the same dispatch decision, not a third result path.
-void PlanScatter(float* table, const PlanView& plan, const float* values, double step,
-                 float* scratch);
+/// The signed gradient scatter table[offsets[i·d+j]] -= float(step·values[i]
+/// · signs[i·d+j]) over the whole plan, in plan order (so duplicate offsets
+/// see the same store sequence as the per-feature loop). Only valid when no
+/// other read is interleaved per feature (no tracking heap); the
+/// heap-tracking sketches scatter per-feature instead.
+void PlanScatter(float* table, const PlanView& plan, const float* values, double step);
 
 /// dst[i] += float(ratio · src[i]) — the MergeScaled table sweep. The double
-/// product is rounded to float before the add in both paths (bit-identical).
+/// product is rounded to float before the add.
 void MergeScaledTable(float* dst, const float* src, size_t n, double ratio);
 
-/// t[i] *= f — the lazy-rescale table sweep (bit-identical across paths).
+/// t[i] *= f — the lazy-rescale table sweep.
 void ScaleTable(float* t, size_t n, float f);
 
-/// Σ t[i]² accumulated in double. The AVX2 path uses a 4-lane reduction, so
-/// unlike the kernels above its rounding can differ from the scalar
-/// left-to-right sum (callers of table norms are tolerance-based).
+/// Σ t[i]² accumulated in double, left to right.
 double L2NormSquared(const float* t, size_t n);
 
 }  // namespace wmsketch::simd

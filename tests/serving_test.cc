@@ -14,6 +14,7 @@
 #include "datagen/classification_gen.h"
 #include "engine/serving.h"
 #include "engine/sharded_learner.h"
+#include "util/crc32c.h"
 #include "util/memory_cost.h"
 #include "util/random.h"
 
@@ -148,26 +149,134 @@ TEST(ReadModelTest, FrozenAnswersMatchCaptureMoment) {
   }
 }
 
-// The generic (estimator-backed) read model serves the Sec. 7 baselines:
-// point estimates exactly, margins as the linear functional of the frozen
-// estimates (equal to the live margin up to per-term float rounding).
+template <typename T>
+uint32_t AnswerCrc(const std::vector<T>& answers) {
+  return crc32c::Value(answers.data(), answers.size() * sizeof(T));
+}
+
+// Pins the exact bits of every read API against values recorded before the
+// read paths were merged into shared templates, so the per-call loops and
+// the batched/frozen paths are each checked against an independent
+// reference rather than only against one another. Four sources per model —
+// live per-call, live batch, frozen per-call, frozen batch — must all hash
+// to the one recorded CRC for margins and the one for estimates.
+TEST(ReadModelTest, GoldenReadAnswers) {
+  const ClassificationProfile profile = ClassificationProfile::SmallTest();
+  const std::vector<Example> stream = MakeStream(2500, 13);
+  const std::vector<uint32_t> ids = RandomFeatureIds(2048, profile.dimension, 14);
+  const std::span<const Example> queries(stream.data() + 2000, 500);
+
+  struct Case {
+    Method method;
+    uint32_t depth;
+    uint32_t margin_crc;
+    uint32_t estimate_crc;
+  };
+  const Case cases[] = {
+      {Method::kWmSketch, 3, 0x5998739cu, 0xce10853eu},
+      {Method::kWmSketch, 9, 0x334dd248u, 0x15d994e4u},
+      {Method::kAwmSketch, 1, 0x0757884cu, 0xf3a6d5b0u},
+      {Method::kAwmSketch, 3, 0x4943e4bfu, 0x8788de93u},
+      {Method::kFeatureHashing, 0, 0x5782aa85u, 0x8f828a23u},
+  };
+  for (const Case& c : cases) {
+    Learner model = std::move(ShapeBuilder(c.method, c.depth).Build()).value();
+    SCOPED_TRACE(model.Name() + " d" + std::to_string(c.depth));
+    model.UpdateBatch(std::span<const Example>(stream.data(), 2000));
+    const std::unique_ptr<const ReadModel> frozen = model.impl().MakeReadModel();
+
+    std::vector<double> margins;
+    for (const Example& ex : queries) margins.push_back(model.PredictMargin(ex.x));
+    EXPECT_EQ(AnswerCrc(margins), c.margin_crc) << std::hex << AnswerCrc(margins);
+    margins.clear();
+    model.PredictBatch(queries, &margins);
+    EXPECT_EQ(AnswerCrc(margins), c.margin_crc) << "live batch";
+    for (size_t e = 0; e < queries.size(); ++e) {
+      margins[e] = frozen->PredictMargin(queries[e].x);
+    }
+    EXPECT_EQ(AnswerCrc(margins), c.margin_crc) << "frozen per-call";
+    frozen->PredictBatch(queries, margins.data());
+    EXPECT_EQ(AnswerCrc(margins), c.margin_crc) << "frozen batch";
+
+    std::vector<float> estimates;
+    for (const uint32_t id : ids) estimates.push_back(model.WeightEstimate(id));
+    EXPECT_EQ(AnswerCrc(estimates), c.estimate_crc) << std::hex << AnswerCrc(estimates);
+    estimates.clear();
+    model.EstimateBatch(ids, &estimates);
+    EXPECT_EQ(AnswerCrc(estimates), c.estimate_crc) << "live batch";
+    for (size_t i = 0; i < ids.size(); ++i) estimates[i] = frozen->Estimate(ids[i]);
+    EXPECT_EQ(AnswerCrc(estimates), c.estimate_crc) << "frozen per-call";
+    frozen->EstimateBatch(ids, estimates.data());
+    EXPECT_EQ(AnswerCrc(estimates), c.estimate_crc) << "frozen batch";
+  }
+
+  // LearnerSnapshot::Estimate over the whole feature universe, every method
+  // at its planner-default shape.
+  const std::pair<Method, uint32_t> snapshot_golden[] = {
+      {Method::kSimpleTruncation, 0x2946c5d8u},
+      {Method::kProbabilisticTruncation, 0x48cfe14cu},
+      {Method::kSpaceSavingFrequent, 0xdc53b8e1u},
+      {Method::kCountMinFrequent, 0x7ff5f995u},
+      {Method::kFeatureHashing, 0xf2601d84u},
+      {Method::kWmSketch, 0x78e24370u},
+      {Method::kAwmSketch, 0xc69b9790u},
+  };
+  for (const auto& [m, crc] : snapshot_golden) {
+    Learner model = std::move(LearnerBuilder()
+                                  .SetMethod(m)
+                                  .SetBudgetBytes(KiB(4))
+                                  .SetSeed(23)
+                                  .Build())
+                        .value();
+    model.UpdateBatch(std::span<const Example>(stream.data(), 2000));
+    const LearnerSnapshot snap = model.Snapshot();
+    std::vector<float> estimates(profile.dimension);
+    for (uint32_t f = 0; f < profile.dimension; ++f) estimates[f] = snap.Estimate(f);
+    EXPECT_EQ(AnswerCrc(estimates), crc) << MethodName(m) << std::hex << " "
+                                         << AnswerCrc(estimates);
+  }
+}
+
+// The default (heap-backed) read model serves every Sec. 7 baseline: point
+// estimates exactly, margins as the linear functional of the frozen
+// estimates (equal to the live margin up to per-term float rounding), and
+// LearnerSnapshot answers through the same capture.
 TEST(ReadModelTest, GenericFallbackServesBaselines) {
   const std::vector<Example> stream = MakeStream(2000, 21);
-  Learner model = std::move(LearnerBuilder()
-                                .SetMethod(Method::kSimpleTruncation)
-                                .SetBudgetBytes(KiB(4))
-                                .SetSeed(7)
-                                .Build())
-                      .value();
-  model.UpdateBatch(stream);
-  const std::unique_ptr<const ReadModel> frozen = model.impl().MakeReadModel();
-  for (int e = 0; e < 200; ++e) {
-    const double live = model.PredictMargin(stream[static_cast<size_t>(e)].x);
-    const double served = frozen->PredictMargin(stream[static_cast<size_t>(e)].x);
-    EXPECT_NEAR(served, live, 1e-5 * (1.0 + std::fabs(live))) << e;
-  }
-  for (uint32_t f = 0; f < 200; ++f) {
-    EXPECT_EQ(frozen->Estimate(f), model.WeightEstimate(f)) << f;
+  for (const Method m : {Method::kSimpleTruncation, Method::kProbabilisticTruncation,
+                         Method::kSpaceSavingFrequent, Method::kCountMinFrequent}) {
+    Learner model = std::move(LearnerBuilder()
+                                  .SetMethod(m)
+                                  .SetBudgetBytes(KiB(4))
+                                  .SetSeed(7)
+                                  .Build())
+                        .value();
+    SCOPED_TRACE(MethodName(m));
+    model.UpdateBatch(stream);
+    const std::unique_ptr<const ReadModel> frozen = model.impl().MakeReadModel();
+    const LearnerSnapshot snap = model.Snapshot();
+    for (int e = 0; e < 200; ++e) {
+      const double live = model.PredictMargin(stream[static_cast<size_t>(e)].x);
+      const double served = frozen->PredictMargin(stream[static_cast<size_t>(e)].x);
+      EXPECT_NEAR(served, live, 1e-5 * (1.0 + std::fabs(live))) << e;
+    }
+    size_t tracked = 0;
+    for (uint32_t f = 0; f < ClassificationProfile::SmallTest().dimension; ++f) {
+      const float live = model.WeightEstimate(f);
+      EXPECT_EQ(frozen->Estimate(f), live) << f;
+      EXPECT_EQ(snap.Estimate(f), live) << f;
+      if (live != 0.0f) ++tracked;
+    }
+    // Every tracked weight is reachable, and the frozen top-k matches the
+    // live one.
+    EXPECT_GT(tracked, 0u);
+    EXPECT_EQ(snap.TopK(16), model.TopK(16));
+    // The copied heap is the capture's resident state.
+    EXPECT_GT(frozen->ResidentBytes(), 0u);
+    // Training on does not move the frozen answers.
+    const float before = frozen->Estimate(snap.top_k().front().feature);
+    model.UpdateBatch(stream);
+    EXPECT_EQ(frozen->Estimate(snap.top_k().front().feature), before);
   }
 }
 
