@@ -43,19 +43,6 @@ inline int ScaledCount(int base) {
   return static_cast<int>(base * scale);
 }
 
-/// Percentile (q in [0, 100], linear interpolation between order statistics)
-/// of a sample set; sorts `samples` in place. 0 on an empty set so a bench
-/// row for a workload that produced no samples stays printable.
-inline double Percentile(std::vector<double>& samples, double q) {
-  if (samples.empty()) return 0.0;
-  std::sort(samples.begin(), samples.end());
-  const double rank = q / 100.0 * static_cast<double>(samples.size() - 1);
-  const size_t lo = static_cast<size_t>(rank);
-  const size_t hi = std::min(lo + 1, samples.size() - 1);
-  const double frac = rank - static_cast<double>(lo);
-  return samples[lo] + (samples[hi] - samples[lo]) * frac;
-}
-
 /// Prints a header line followed by a rule, e.g. for figure banners.
 inline void Banner(const std::string& title) {
   std::printf("\n=== %s ===\n", title.c_str());
@@ -188,8 +175,7 @@ class BenchJson {
 struct BenchStreamSpec {
   /// Appended to every config label in tables and JSON rows ("" for the
   /// default synthetic stream, "_<profile name>" / "_<dataset stem>"
-  /// otherwise), so rows from different streams never collide on the
-  /// (config, kernel) key check_perf.py joins baselines on.
+  /// otherwise), so rows from different streams never share a config name.
   std::string suffix;
   /// Feature-id domain for point-estimate sampling.
   uint32_t dimension = 0;
@@ -224,8 +210,8 @@ inline std::string DatasetStem(const std::string& path) {
 ///                            profiles are made)
 ///
 /// Any malformed input aborts with the parse error (path:line) — a bench
-/// that silently fell back to synthetic data would poison every committed
-/// baseline row derived from the run.
+/// that silently fell back to synthetic data would report numbers for a
+/// stream nobody asked for.
 inline std::vector<BenchStreamSpec> ResolveBenchStreams(int argc, char** argv,
                                                         const ClassificationProfile& synthetic,
                                                         int examples, uint64_t seed) {

@@ -1,9 +1,9 @@
 // Hot-path microbenchmark: single-threaded updates/sec and queries/sec for
 // the WM-Sketch, AWM-Sketch, and feature hashing at the Table 2 best-config
-// shapes, with the AVX2 kernels toggled on and off at runtime so one run
-// reports the scalar-vs-SIMD speedup on this machine.
+// shapes. A developer report, ungated: perfbench `ingest` is the end-to-end
+// ingest benchmark (see perfbench/README.md).
 //
-//   ./bench_hot_path [--json BENCH_hot_path.json] [--reps N]
+//   ./bench_hot_path [--json out.json] [--reps N]
 //                    [--libsvm data.txt[.gz]] [--profile profile.json]
 //                    [--dump-profile out.json]
 //
@@ -12,7 +12,7 @@
 // --profile additionally replays a committed sparsity profile (rows suffixed
 // with the profile name) — see bench/profiles/ and ResolveBenchStreams.
 //
-// Rows (one per config × kernel path):
+// Rows (one per config):
 //   updates_per_sec          batched ingest through Learner::UpdateBatch
 //   predicts_per_sec         per-call PredictMargin on a trained model
 //   batch_predicts_per_sec   chunked Learner::PredictBatch (the serving path)
@@ -22,10 +22,8 @@
 //                            omitted otherwise; the single-hash invariant
 //                            makes it exactly mean(nnz)·depth)
 //
-// Each (config, kernel) cell is measured --reps times (default 2) and the
-// best rate per metric is kept — the standard microbenchmark noise guard,
-// which matters doubly here because scalar and AVX2 share most code and
-// should never differ by more than real kernel effects.
+// Each config is measured --reps times (default 2) and the best rate per
+// metric is kept — the standard microbenchmark noise guard.
 //
 // Stream lengths scale with WMS_BENCH_SCALE like every other bench.
 
@@ -95,8 +93,8 @@ struct Throughput {
 
 // Every phase repeats its workload until the measured window reaches this
 // floor: a rate read off a few milliseconds is one scheduler hiccup away
-// from nonsense, and the CI gate runs on small WMS_BENCH_SCALE streams
-// where fixed counts would give exactly such windows.
+// from nonsense, and small WMS_BENCH_SCALE streams would give exactly such
+// windows with fixed counts.
 constexpr double kMinWindowSeconds = 0.12;
 
 template <typename Workload>
@@ -201,10 +199,7 @@ Throughput Measure(const HotConfig& c, const std::vector<Example>& stream,
   g_timing_sink = g_timing_sink + sink;
 
   // The deterministic checksum: one fixed pass over per-call and batched
-  // reads of the one-pass model. Identical across reps by construction, and
-  // identical across kernel paths whenever the read kernels honor their
-  // bit-identity contract — a scalar-vs-avx2 checksum mismatch in the JSON
-  // is a kernel bug, not noise.
+  // reads of the one-pass model, identical across reps by construction.
   double checksum = 0.0;
   const size_t check_predicts = std::min<size_t>(predicts, 2000);
   for (size_t i = 0; i < check_predicts; ++i) {
@@ -242,67 +237,45 @@ int main(int argc, char** argv) {
   Banner("Hot path — single-threaded throughput (Table 2 configs, " +
          std::to_string(streams.front().examples.size()) + " examples, best of " +
          std::to_string(reps) + ")");
-  std::printf("simd available: %s (compiled %s)\n", simd::Available() ? "yes" : "no",
-#ifdef WMS_SIMD
-              "in"
-#else
-              "out"
-#endif
-  );
-  PrintRow({"config", "kernel", "updates/s", "predicts/s", "batchpred/s",
+  std::printf("median kernel: %s\n", simd::ActiveKernel());
+  PrintRow({"config", "updates/s", "predicts/s", "batchpred/s",
             "estimates/s", "batchest/s", "hashes/upd"});
 
   BenchJson json("hot_path");
   for (const BenchStreamSpec& spec : streams) {
-    // Kernel paths alternate within each rep (pairwise per config) AND the
-    // within-pair order flips every rep, so frequency/steal/thermal drift hits
-    // both paths alike — the committed baseline compares them row-against-row,
-    // and a kernel that only "wins" because it ran in the systematically
-    // quieter slot of each pair would poison the dispatch conclusions.
-    const bool kernel_paths[] = {false, true};
-    const size_t paths = simd::Available() ? 2 : 1;
-    std::vector<Throughput> best(std::size(kConfigs) * paths);
+    std::vector<Throughput> best(std::size(kConfigs));
     for (int rep = 0; rep < reps; ++rep) {
       for (size_t ci = 0; ci < std::size(kConfigs); ++ci) {
-        for (size_t slot = 0; slot < paths; ++slot) {
-          const size_t k = (rep % 2 == 0) ? slot : paths - 1 - slot;
-          simd::SetEnabled(kernel_paths[k]);
-          best[ci * paths + k].MergeBest(Measure(kConfigs[ci], spec.examples, spec.dimension));
-        }
+        best[ci].MergeBest(Measure(kConfigs[ci], spec.examples, spec.dimension));
       }
     }
-    for (size_t k = 0; k < paths; ++k) {
-      simd::SetEnabled(kernel_paths[k]);
-      for (size_t ci = 0; ci < std::size(kConfigs); ++ci) {
-        const HotConfig& c = kConfigs[ci];
-        const Throughput& t = best[ci * paths + k];
-        const std::string label = c.label + spec.suffix;
-        PrintRow({label, simd::ActiveKernel(), Fmt(t.updates_per_sec, 0),
-                  Fmt(t.predicts_per_sec, 0), Fmt(t.batch_predicts_per_sec, 0),
-                  Fmt(t.estimates_per_sec, 0), Fmt(t.batch_estimates_per_sec, 0),
-                  t.hashes_per_update < 0 ? "n/a" : Fmt(t.hashes_per_update, 1)});
-        json.Row()
-            .Str("config", label)
-            .Str("method", MethodName(c.method))
-            .Num("width", c.width)
-            .Num("depth", c.depth)
-            .Num("heap", static_cast<double>(c.heap))
-            .Str("kernel", simd::ActiveKernel())
-            .Num("updates_per_sec", t.updates_per_sec)
-            .Num("predicts_per_sec", t.predicts_per_sec)
-            .Num("batch_predicts_per_sec", t.batch_predicts_per_sec)
-            .Num("estimates_per_sec", t.estimates_per_sec)
-            .Num("batch_estimates_per_sec", t.batch_estimates_per_sec)
-            .Num("checksum", t.margin_checksum);
+    for (size_t ci = 0; ci < std::size(kConfigs); ++ci) {
+      const HotConfig& c = kConfigs[ci];
+      const Throughput& t = best[ci];
+      const std::string label = c.label + spec.suffix;
+      PrintRow({label, Fmt(t.updates_per_sec, 0), Fmt(t.predicts_per_sec, 0),
+                Fmt(t.batch_predicts_per_sec, 0), Fmt(t.estimates_per_sec, 0),
+                Fmt(t.batch_estimates_per_sec, 0),
+                t.hashes_per_update < 0 ? "n/a" : Fmt(t.hashes_per_update, 1)});
+      json.Row()
+          .Str("config", label)
+          .Str("method", MethodName(c.method))
+          .Num("width", c.width)
+          .Num("depth", c.depth)
+          .Num("heap", static_cast<double>(c.heap))
+          .Num("updates_per_sec", t.updates_per_sec)
+          .Num("predicts_per_sec", t.predicts_per_sec)
+          .Num("batch_predicts_per_sec", t.batch_predicts_per_sec)
+          .Num("estimates_per_sec", t.estimates_per_sec)
+          .Num("batch_estimates_per_sec", t.batch_estimates_per_sec)
+          .Num("checksum", t.margin_checksum);
 #ifdef WMS_HASH_STATS
-        // Only emitted when the counter is actually compiled in — a -1
-        // placeholder in the committed baseline reads like a measurement.
-        json.Num("hashes_per_update", t.hashes_per_update);
+      // Only emitted when the counter is actually compiled in — a -1
+      // placeholder in the JSON reads like a measurement.
+      json.Num("hashes_per_update", t.hashes_per_update);
 #endif
-      }
     }
   }
-  simd::SetEnabled(true);  // restore the default for anything after us
   json.WriteIfRequested(argc, argv);
   return 0;
 }

@@ -20,6 +20,15 @@ class ServingHandle;
 class ServingState;
 class ShardedLearner;
 
+/// Largest shard count LearnerBuilder::BuildSharded accepts: the range over
+/// which the collapsed top-K RelErr stays within 1.5x the sequential model's
+/// (engine_test pins N = 1..4). Beyond it the engine's combine, which scales
+/// the shared base model by 1 - N^(1-p) < 0, feeds that negative multiple
+/// back through the AWM active set (not a linear sketch): 8 shards gave
+/// RelErr 6.16 against 1.02 sequential on the 400k-example Rcv1Like stream.
+/// Lift the cap when the combine works on replica deltas instead.
+inline constexpr uint32_t kMaxShards = 4;
+
 /// Where and how often a learner checkpoints itself (see
 /// src/engine/checkpoint.h for the atomic write/recover machinery).
 struct CheckpointSpec {
@@ -343,7 +352,8 @@ class LearnerBuilder {
   /// barrier checkpoints.
   LearnerBuilder& CheckpointEvery(uint64_t k);
 
-  /// Number of parallel ingestion shards for BuildSharded (default 1).
+  /// Number of parallel ingestion shards for BuildSharded (default 1; 1 to
+  /// kMaxShards, else BuildSharded returns OutOfRange/kShardsOutOfRange).
   /// Build() is unaffected: it always constructs the sequential learner.
   LearnerBuilder& Shards(uint32_t shards);
   /// Examples between the sharded engine's periodic merge-average
@@ -368,8 +378,10 @@ class LearnerBuilder {
   /// Builds the sharded parallel ingestion engine configured by Shards(n)
   /// and SetSyncInterval: n identically-seeded replicas trained on worker
   /// threads, merge-averaged into one ordinary Learner by
-  /// ShardedLearner::Collapse(). Shards(n > 1) requires a mergeable method
-  /// (WM/AWM) and returns Unimplemented otherwise. Defined in
+  /// ShardedLearner::Collapse(). Shards(0) and Shards(n > kMaxShards)
+  /// return OutOfRange with detail kShardsOutOfRange. Shards(n > 1) requires
+  /// a mergeable method (WM/AWM) and returns Unimplemented otherwise. Any
+  /// error Build() would return comes back unchanged. Defined in
   /// src/engine/sharded_learner.cc so the api layer stays engine-free.
   Result<ShardedLearner> BuildSharded() const;
 

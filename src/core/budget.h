@@ -32,6 +32,7 @@ enum class ConfigError : uint16_t {
   kActiveSetEmpty = 5,       ///< heap/active-set capacity 0 where >= 1 required
   kShapeUnderspecified = 6,  ///< builder given neither a budget nor a shape
   kShapeConflict = 7,        ///< builder given contradictory shape inputs
+  kShardsOutOfRange = 8,     ///< BuildSharded shard count outside [1, kMaxShards]
 };
 
 /// The numeric subcode for a ConfigError (what Status::detail() returns).

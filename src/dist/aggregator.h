@@ -49,6 +49,15 @@ struct AggregatorOptions {
 ///  * A delta is applied to a clone and swapped in only on success, so even
 ///    an injected mid-apply failure ("dist:merge_apply") cannot leave a
 ///    half-applied replica.
+///
+/// Merge semantics: the replicas are summed with plain `Merge`, in ascending
+/// worker id. The aggregator makes a one-shot combination of models trained
+/// on disjoint partitions, so the sum of the linear sketches is the exact
+/// answer, and perfbench `sync` checks the merged bytes against an
+/// in-process `Learner::Merge` of the same workers. ShardedLearner combines
+/// with schedule-matched mixing instead (see engine/sharded_learner.h),
+/// because it mixes iteratively from a shared base; the two rules serve
+/// different operations and stay apart.
 class Aggregator {
  public:
   static Result<Aggregator> Create(const AggregatorOptions& options);

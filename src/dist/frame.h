@@ -21,6 +21,10 @@ namespace wmsketch::dist {
 /// touched; the receiver's only possible reactions to a bad frame are "drop
 /// the connection" or "reject with an error frame", never "apply half".
 ///
+/// This layer stays as a thin wrapper over net/wire.h because it hides what
+/// its callers must not repeat: the dist type range passed to the shared
+/// decoder, and the dist failpoint sites.
+///
 /// Failpoint sites (util/failpoint.h), exercised by the chaos harness:
 ///   "dist:send"         — error: fail before writing; short: write a torn
 ///                         prefix then fail (the peer sees a truncated

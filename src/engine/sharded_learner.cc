@@ -478,8 +478,10 @@ ShardedLearnerStats ShardedLearner::Stats() const {
 // dependency on the engine (or on <thread>); the builder declaration
 // forward-declares ShardedLearner only.
 Result<ShardedLearner> LearnerBuilder::BuildSharded() const {
-  if (shards_ == 0) {
-    return Status::InvalidArgument("Shards(0): at least one shard is required");
+  if (shards_ == 0 || shards_ > kMaxShards) {
+    return Status::OutOfRange("Shards(" + std::to_string(shards_) + "): the shard count must be 1 to " +
+                                  std::to_string(kMaxShards),
+                              ToDetail(ConfigError::kShardsOutOfRange));
   }
   // Validate the specification once through the ordinary build path; the
   // prototype also answers whether the method is mergeable at all.

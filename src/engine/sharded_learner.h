@@ -37,6 +37,14 @@ struct ShardedLearnerStats {
 /// serialization work unchanged on the result; with `Shards(1)` the collapsed
 /// model is bit-identical to a sequential Learner fed the same stream.
 ///
+/// Merge semantics: each barrier combines the replicas by schedule-matched
+/// iterative parameter mixing, w = N^-p * sum(w_i) + (1 - N^(1-p)) * w_base,
+/// where every replica started the round as w_base and p follows the
+/// learning-rate schedule. The engine mixes round after round from a shared
+/// base, so a plain sum (the one-shot combination of disjoint partitions that
+/// dist::Aggregator makes) would count w_base N times. The shard count is
+/// capped at kMaxShards, the range over which this rule is validated.
+///
 /// The owner never spins. When a shard's ring is full, Push blocks on a
 /// condition variable until that worker has drained a run (up to 64
 /// examples) and wakes it; a barrier blocks the same way until every worker

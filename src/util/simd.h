@@ -27,8 +27,8 @@ bool Available();
 /// via SetEnabled(false).
 bool Enabled();
 
-/// Runtime toggle, used by bench_hot_path and the kernel tests to compare
-/// the two paths inside one process. Forcing `on` without hardware support
+/// Runtime toggle, used by the kernel tests to compare the two paths inside
+/// one process. Forcing `on` without hardware support
 /// is ignored (Enabled() stays false).
 void SetEnabled(bool on);
 

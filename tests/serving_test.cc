@@ -385,6 +385,46 @@ TEST(ServingTest, ExplicitPublishAndPinnedSnapshotImmutability) {
   }
 }
 
+// Copy-on-write publishing at high cadence: WM w65536 d3 (a 768 KiB table)
+// publishing every 2 updates must copy only the pages those updates dirtied.
+// The gain, full-table bytes over bytes copied per publish, is a pure
+// function of the stream, the hash seeds and the page size; if dirty-page
+// tracking broke and publishes fell back to full copies it would drop to 1.
+TEST(ServingTest, HighCadencePublishCopiesOnlyDirtyPages) {
+  // The gain this stream gave when the test was written (7.935, the same as
+  // bench_serving's wm_w65536_d3_k2 row); it may fall by at most 25%.
+  constexpr double kRecordedGain = 7.935;
+  SyntheticClassificationGen gen(ClassificationProfile::Rcv1Like(), 88);
+  std::vector<Example> stream;
+  for (int i = 0; i < 4096 + 400; ++i) stream.push_back(gen.Next());
+  Learner model = std::move(LearnerBuilder()
+                                .SetMethod(Method::kWmSketch)
+                                .SetWidth(65536)
+                                .SetDepth(3)
+                                .SetHeapCapacity(128)
+                                .SetLambda(1e-6)
+                                .SetLearningRate(LearningRate::InverseSqrt(0.1))
+                                .SetSeed(77)
+                                .Build())
+                      .value();
+  model.UpdateBatch(std::span<const Example>(stream.data(), 4096));
+  // Acquisition publishes the first snapshot, a full copy by necessity.
+  ServingHandle handle = std::move(model.AcquireServingHandle()).value();
+
+  const TablePublishStats before = model.impl().publish_stats();
+  for (size_t at = 4096; at < stream.size(); at += 2) {
+    model.Update(stream[at]);
+    model.Update(stream[at + 1]);
+    model.PublishServingSnapshot();
+  }
+  const TablePublishStats after = model.impl().publish_stats();
+  ASSERT_EQ(after.publishes - before.publishes, 200u);
+  const double copied_per_publish =
+      static_cast<double>(after.copied_bytes - before.copied_bytes) / 200.0;
+  const double gain = 65536.0 * 3 * sizeof(float) / copied_per_publish;
+  EXPECT_GE(gain, 0.75 * kRecordedGain) << "bytes copied per publish " << copied_per_publish;
+}
+
 TEST(ServingTest, HandleTopKMatchesPublishedModel) {
   Learner model = std::move(ShapeBuilder(Method::kAwmSketch, 1).Build()).value();
   model.UpdateBatch(MakeStream(3000, 61));
