@@ -88,14 +88,19 @@ double AwmSketch::PredictMargin(const SparseVector& x) const {
 
 double AwmSketch::PredictMarginWithPlan(const SparseVector& x, HashPlan& plan) const {
   // As PredictMargin, but each tail feature's hashes land in its plan slot
-  // (filled on first use) where the gradient stage below reuses them.
+  // (filled on first use) where the gradient stage below reuses them, and
+  // each member's slot is marked so that stage probes the heap only there.
   double acc = 0.0;
   for (size_t i = 0; i < x.nnz(); ++i) {
     const uint32_t feature = x.index(i);
     const std::optional<float> exact = heap_.Get(feature);
-    const double w = exact.has_value()
-                         ? heap_scale_ * static_cast<double>(*exact)
-                         : static_cast<double>(SketchQueryFromPlan(plan, i, feature));
+    double w;
+    if (exact.has_value()) {
+      plan.MarkMember(i);
+      w = heap_scale_ * static_cast<double>(*exact);
+    } else {
+      w = static_cast<double>(SketchQueryFromPlan(plan, i, feature));
+    }
     acc += w * static_cast<double>(x.value(i));
   }
   return acc;
@@ -154,7 +159,7 @@ double AwmSketch::Update(const SparseVector& x, int8_t y) {
   // feature touches the sketch (margin query, candidate query, or tail
   // scatter) and reused from then on. Active-set members — whose weights
   // live in the heap and never touch the sketch — are never hashed, exactly
-  // as in the pre-plan code, and membership is looked up no more often.
+  // as in the pre-plan code.
   HashPlan& plan = TlsPlan();
   plan.InitLazy(config_.depth, x.nnz());
   return UpdateWithPlan(x, y, plan);
@@ -178,7 +183,14 @@ double AwmSketch::UpdateWithPlan(const SparseVector& x, int8_t y, HashPlan& plan
     const uint32_t feature = x.index(i);
     const double xi = static_cast<double>(x.value(i));
     // Exact gradient on an active-set member, written through the scale.
-    if (heap_.Add(feature, static_cast<float>(-step * xi / heap_scale_))) continue;
+    // Only a slot that was a member when the margin was taken can be one
+    // now: this loop inserts just the feature it is processing, and a
+    // SparseVector's indices are strictly increasing, so no later slot shares
+    // that key. A member evicted earlier in this example fails its Add and
+    // takes the tail path below.
+    if (plan.member(i) && heap_.Add(feature, static_cast<float>(-step * xi / heap_scale_))) {
+      continue;
+    }
     // Candidate weight for a tail feature.
     const double w_tilde =
         static_cast<double>(SketchQueryFromPlan(plan, i, feature)) - step * xi;

@@ -142,7 +142,8 @@ class AwmSketch final : public BudgetedClassifier {
   void SketchAdd(uint32_t feature, double delta);
   /// SketchAdd through feature slot `i` of a lazy plan (first touch hashes).
   void SketchAddFromPlan(HashPlan& plan, size_t i, uint32_t feature, double delta);
-  /// PredictMargin filling/reading tail slots of a lazy plan.
+  /// PredictMargin filling/reading tail slots of a lazy plan and marking
+  /// the slots of active-set members (HashPlan::MarkMember).
   double PredictMarginWithPlan(const SparseVector& x, HashPlan& plan) const;
   /// The Update body once the plan exists (shared by Update and UpdateBatch).
   double UpdateWithPlan(const SparseVector& x, int8_t y, HashPlan& plan);

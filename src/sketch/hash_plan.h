@@ -18,6 +18,11 @@ namespace wmsketch {
 /// would imply a 16 GiB table).
 inline constexpr uint32_t kPlanNoEntry = 0xffffffffu;
 
+/// Sentinel first-offset of an unfilled lazy slot whose feature was an
+/// AWM active-set member when the example's margin was taken (MarkMember).
+/// Like kPlanNoEntry it carries no hashes.
+inline constexpr uint32_t kPlanMember = 0xfffffffeu;
+
 namespace detail {
 
 /// Appends one example's nnz × depth plan entries to the SoA buffers — the
@@ -40,7 +45,7 @@ inline void AppendPlanEntries(std::span<const SignedBucketHash> rows,
       rows[j].BucketAndSign(feature, &bucket, &sign);
       off[j] = j * rows[j].width() + bucket;
       sg[j] = sign;
-      assert(off[j] != kPlanNoEntry);
+      assert(off[j] < kPlanMember);
     }
     off += depth;
     sg += depth;
@@ -86,6 +91,10 @@ class HashPlan {
     signs_.resize(nnz * depth);
   }
 
+  /// Records that slot `i` of a lazy plan is an active-set member; the slot
+  /// stays unhashed until a FillSlot.
+  void MarkMember(size_t i) { offsets_[i * depth_] = kPlanMember; }
+
   /// Hashes `feature`'s (bucket, sign) pairs into slot `i` of a lazy plan.
   void FillSlot(std::span<const SignedBucketHash> rows, size_t i, uint32_t feature) {
     uint32_t* off = offsets_.data() + i * depth_;
@@ -106,7 +115,10 @@ class HashPlan {
   }
 
   /// True when feature slot `i` carries hashes (always true for Build).
-  bool has(size_t i) const { return offsets_[i * depth_] != kPlanNoEntry; }
+  bool has(size_t i) const { return offsets_[i * depth_] < kPlanMember; }
+
+  /// True when slot `i` was marked by MarkMember and not filled since.
+  bool member(size_t i) const { return offsets_[i * depth_] == kPlanMember; }
 
   /// The depth offsets / signs of feature slot `i` (the per-feature slice
   /// driving heap offers and AWM tail queries).

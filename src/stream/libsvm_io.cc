@@ -6,25 +6,76 @@
 #include <cerrno>
 #include <charconv>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <sstream>
 
 namespace wmsketch {
 
 namespace {
 
-// Splits off the next whitespace-delimited token from `s`; empty view at end.
-std::string_view NextToken(std::string_view& s) {
-  size_t start = 0;
-  while (start < s.size() && (s[start] == ' ' || s[start] == '\t')) ++start;
-  size_t end = start;
-  while (end < s.size() && s[end] != ' ' && s[end] != '\t') ++end;
-  std::string_view tok = s.substr(start, end - start);
-  s.remove_prefix(end);
-  return tok;
+bool IsBlank(char c) { return c == ' ' || c == '\t'; }
+
+bool IsDigit(char c) { return static_cast<unsigned char>(c - '0') < 10; }
+
+// The first blank at or after `p`, or `end`.
+const char* TokenEnd(const char* p, const char* end) {
+  while (p < end && !IsBlank(*p)) ++p;
+  return p;
+}
+
+// Powers of ten that are exact floats: 10^k = 2^k·5^k and 5^10 < 2^24.
+constexpr float kExactPow10[] = {1e0f, 1e1f, 1e2f, 1e3f, 1e4f, 1e5f,
+                                 1e6f, 1e7f, 1e8f, 1e9f, 1e10f};
+constexpr int kMaxExactPow10 = 10;
+constexpr uint64_t kMaxExactSignificand = uint64_t{1} << 24;
+
+// Reads the value token at `p` when it is `[-]digits[.digits][(e|E)[+|-]digits]`
+// (at least one significand digit), ends at a blank or `end`, and its
+// decimal significand m and exponent e satisfy m ≤ 2^24 and |e| ≤ 10. Then m
+// and 10^|e| are exact floats, and m·10^e (or m/10^-e) is one correctly
+// rounded IEEE operation: the float std::from_chars returns, bit for bit
+// (Clinger's fast path). Returns the token's end, or nullptr for any other
+// token, which the caller hands to std::from_chars.
+const char* ParseExactDecimal(const char* p, const char* end, float* out) {
+  const bool negative = p < end && *p == '-';
+  if (negative) ++p;
+  uint64_t m = 0;
+  int exponent = 0;
+  bool any_digit = false;
+  for (; p < end && IsDigit(*p); ++p, any_digit = true) {
+    m = m * 10 + static_cast<uint64_t>(*p - '0');
+    if (m > kMaxExactSignificand) return nullptr;
+  }
+  if (p < end && *p == '.') {
+    for (++p; p < end && IsDigit(*p); ++p, any_digit = true) {
+      m = m * 10 + static_cast<uint64_t>(*p - '0');
+      // Bounding the fraction's length keeps `exponent` far from overflow.
+      if (m > kMaxExactSignificand || --exponent < -100) return nullptr;
+    }
+  }
+  if (!any_digit) return nullptr;
+  if (p < end && (*p == 'e' || *p == 'E')) {
+    ++p;
+    const bool negative_exponent = p < end && *p == '-';
+    if (p < end && (*p == '-' || *p == '+')) ++p;
+    if (p == end || !IsDigit(*p)) return nullptr;
+    int e = 0;
+    for (; p < end && IsDigit(*p); ++p) {
+      e = e * 10 + (*p - '0');
+      if (e > 1000) return nullptr;
+    }
+    exponent += negative_exponent ? -e : e;
+  }
+  if ((p < end && !IsBlank(*p)) || exponent < -kMaxExactPow10 || exponent > kMaxExactPow10) {
+    return nullptr;
+  }
+  const float v = exponent < 0 ? static_cast<float>(m) / kExactPow10[-exponent]
+                               : static_cast<float>(m) * kExactPow10[exponent];
+  *out = negative ? -v : v;
+  return p;
 }
 
 bool EndsWithGz(const std::string& path) {
@@ -55,8 +106,11 @@ Result<Example> ParseLibsvmLine(std::string_view line, bool one_based) {
   }
   while (!line.empty() && (line.back() == '\r' || line.back() == '\n')) line.remove_suffix(1);
 
-  std::string_view rest = line;
-  const std::string_view label_tok = NextToken(rest);
+  const char* p = line.data();
+  const char* const end = p + line.size();
+  while (p < end && IsBlank(*p)) ++p;
+  const char* const label_end = TokenEnd(p, end);
+  const std::string_view label_tok(p, static_cast<size_t>(label_end - p));
   if (label_tok.empty()) return Status::InvalidArgument("empty line");
 
   int8_t y;
@@ -67,25 +121,42 @@ Result<Example> ParseLibsvmLine(std::string_view line, bool one_based) {
   } else {
     return Status::InvalidArgument("unrecognized label '" + std::string(label_tok) + "'");
   }
+  p = label_end;
 
   // One allocation per array: each well-formed feature token has one ':'.
-  const size_t features = static_cast<size_t>(std::count(rest.begin(), rest.end(), ':'));
+  const size_t features = static_cast<size_t>(std::count(p, end, ':'));
   std::vector<uint32_t> indices;
   std::vector<float> values;
   indices.reserve(features);
   values.reserve(features);
   bool have_prev = false;
   uint64_t prev = 0;
-  for (std::string_view tok = NextToken(rest); !tok.empty(); tok = NextToken(rest)) {
-    const size_t colon = tok.find(':');
-    if (colon == std::string_view::npos || colon == 0 || colon + 1 >= tok.size()) {
-      return Status::InvalidArgument("malformed feature '" + std::string(tok) + "'");
-    }
+  // One left-to-right pass over `<idx>:<val>` tokens. Only the error paths
+  // look back at (or ahead to the end of) the token they name.
+  while (true) {
+    while (p < end && IsBlank(*p)) ++p;
+    if (p == end) break;
+    const char* const tok = p;
     uint64_t idx = 0;
-    const std::string_view idx_sv = tok.substr(0, colon);
-    auto [iptr, ierr] = std::from_chars(idx_sv.data(), idx_sv.data() + idx_sv.size(), idx);
-    if (ierr != std::errc() || iptr != idx_sv.data() + idx_sv.size()) {
-      return Status::InvalidArgument("bad feature index '" + std::string(idx_sv) + "'");
+    bool idx_overflow = false;
+    for (; p < end && IsDigit(*p); ++p) {
+      const uint64_t digit = static_cast<uint64_t>(*p - '0');
+      idx_overflow = idx_overflow || idx > (UINT64_MAX - digit) / 10;
+      idx = idx * 10 + digit;
+    }
+    const char* const colon = p;
+    const char* const val = colon + 1;
+    if (colon == tok || colon == end || *colon != ':' || val == end || IsBlank(*val)) {
+      // Not `digits:value`: classify the whole token by its first ':'.
+      const std::string_view t(tok, static_cast<size_t>(TokenEnd(colon, end) - tok));
+      const size_t c = t.find(':');
+      if (c == std::string_view::npos || c == 0 || c + 1 >= t.size()) {
+        return Status::InvalidArgument("malformed feature '" + std::string(t) + "'");
+      }
+      return Status::InvalidArgument("bad feature index '" + std::string(t.substr(0, c)) + "'");
+    }
+    if (idx_overflow) {
+      return Status::InvalidArgument("bad feature index '" + std::string(tok, colon) + "'");
     }
     if (one_based) {
       if (idx == 0) return Status::InvalidArgument("index 0 in one-based file");
@@ -102,27 +173,31 @@ Result<Example> ParseLibsvmLine(std::string_view line, bool one_based) {
     if (have_prev && idx <= prev) {
       return Status::InvalidArgument(
           std::string(idx == prev ? "duplicate" : "out-of-order") + " feature index in '" +
-          std::string(tok) + "' (indices must be strictly increasing)");
+          std::string(tok, TokenEnd(val, end)) + "' (indices must be strictly increasing)");
     }
     have_prev = true;
     prev = idx;
-    // std::from_chars for float is available but strtof handles exponents the
-    // same; keep from_chars for locale independence.
-    const std::string_view val_sv = tok.substr(colon + 1);
-    float val = 0.0f;
-    auto [vptr, verr] = std::from_chars(val_sv.data(), val_sv.data() + val_sv.size(), val);
-    if (verr != std::errc() || vptr != val_sv.data() + val_sv.size()) {
-      return Status::InvalidArgument("bad feature value '" + std::string(val_sv) + "'");
-    }
-    if (!std::isfinite(val)) {
-      return Status::InvalidArgument("non-finite feature value '" + std::string(val_sv) + "'");
+    float value = 0.0f;
+    p = ParseExactDecimal(val, end, &value);
+    if (p == nullptr) {
+      // Every other token: std::from_chars (locale-independent, correctly
+      // rounded) decides, as it does the error.
+      p = TokenEnd(val, end);
+      const auto [vptr, verr] = std::from_chars(val, p, value);
+      if (verr != std::errc() || vptr != p) {
+        return Status::InvalidArgument("bad feature value '" + std::string(val, p) + "'");
+      }
+      if (!std::isfinite(value)) {
+        return Status::InvalidArgument("non-finite feature value '" + std::string(val, p) +
+                                       "'");
+      }
     }
     // Explicit zeros are legal in the wild (some exporters emit the full
     // active set) but carry no information for a sparse learner; drop them
     // after they have participated in the monotonicity check.
-    if (val != 0.0f) {
+    if (value != 0.0f) {
       indices.push_back(static_cast<uint32_t>(idx));
-      values.push_back(val);
+      values.push_back(value);
     }
   }
 
@@ -133,10 +208,10 @@ namespace {
 
 // Parses one already-read line in the context of a file scan: skips blanks
 // and comments, prefixes parse failures with path:lineno.
-Status ConsumeLine(const std::string& line, const std::string& path, size_t lineno,
+Status ConsumeLine(std::string_view line, const std::string& path, size_t lineno,
                    bool one_based, std::vector<Example>& out) {
   const size_t first = line.find_first_not_of(" \t\r\n");
-  if (first == std::string::npos || line[first] == '#') return Status::OK();
+  if (first == std::string_view::npos || line[first] == '#') return Status::OK();
   Result<Example> ex = ParseLibsvmLine(line, one_based);
   if (!ex.ok()) {
     return Status(ex.status().code(),
@@ -164,7 +239,8 @@ Result<std::vector<Example>> ReadLibsvmGzFile(const std::string& path, bool one_
   while (st.ok() && (n = getline(&buf, &cap, pipe)) != -1) {
     ++lineno;
     if (n > 0 && buf[n - 1] == '\n') --n;
-    st = ConsumeLine(std::string(buf, static_cast<size_t>(n)), path, lineno, one_based, out);
+    st = ConsumeLine(std::string_view(buf, static_cast<size_t>(n)), path, lineno, one_based,
+                     out);
   }
   free(buf);
   const bool pipe_error = ferror(pipe) != 0;
@@ -209,12 +285,25 @@ Result<std::vector<Example>> ReadLibsvmFile(const std::string& path, bool one_ba
 }
 
 std::string FormatLibsvmLine(const Example& ex) {
-  std::ostringstream os;
-  os << (ex.y > 0 ? "+1" : "-1");
+  // Built in a reused per-thread buffer and returned as an exact-size copy:
+  // callers keep many formatted lines, so the result carries no slack.
+  thread_local std::string buf;
+  buf.assign(ex.y > 0 ? "+1" : "-1");
+  // ' ', up to 10 index digits, ':', and a float of six significant digits
+  // (at most 13 characters: "-1.17549e-38").
+  char feature[32];
+  char* const feature_end = feature + sizeof(feature);
   for (size_t i = 0; i < ex.x.nnz(); ++i) {
-    os << ' ' << (ex.x.index(i) + 1) << ':' << ex.x.value(i);
+    char* p = feature;
+    *p++ = ' ';
+    // One-based in 64 bits, so feature 0xFFFFFFFF is written as 4294967296.
+    p = std::to_chars(p, feature_end, static_cast<uint64_t>(ex.x.index(i)) + 1).ptr;
+    *p++ = ':';
+    // The rendering of `std::ostream << float`: %g with six significant digits.
+    p = std::to_chars(p, feature_end, ex.x.value(i), std::chars_format::general, 6).ptr;
+    buf.append(feature, p);
   }
-  return os.str();
+  return buf;
 }
 
 Status WriteLibsvmFile(const std::string& path, const std::vector<Example>& examples) {

@@ -21,6 +21,12 @@ namespace wmsketch {
 /// increasing, and a violation is reported rather than silently repaired
 /// (sorting/summing would mask an exporter bug and change every downstream
 /// hash plan). Explicit zero values are validated, then dropped.
+///
+/// Values are exactly the floats std::from_chars returns, and the same tokens
+/// are accepted: a plain decimal with at most 2^24 as its significand and a
+/// decimal exponent within ±10 (what `%g` writes for ordinary magnitudes) is
+/// converted by one exact float multiply or divide, and every other token
+/// goes to std::from_chars itself.
 Result<Example> ParseLibsvmLine(std::string_view line, bool one_based = true);
 
 /// Reads every non-empty, non-comment ('#') line of `path` as an Example.
@@ -31,7 +37,9 @@ Result<Example> ParseLibsvmLine(std::string_view line, bool one_based = true);
 /// malformed record.
 Result<std::vector<Example>> ReadLibsvmFile(const std::string& path, bool one_based = true);
 
-/// Serializes an example in LIBSVM format (1-based indices).
+/// Serializes an example in LIBSVM format (1-based indices; values with six
+/// significant digits, as `std::ostream << float` writes them). The index
+/// shift is done in 64 bits, so feature 0xFFFFFFFF is written as 4294967296.
 std::string FormatLibsvmLine(const Example& ex);
 
 /// Writes examples to `path`, one per line. Returns IOError on failure.

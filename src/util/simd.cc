@@ -92,11 +92,6 @@ float MedianLarge(float* v, size_t n) {
   return MedianLargeScalar(v, n);
 }
 
-void GatherSigned(const float* table, const uint32_t* offsets, const float* signs,
-                  size_t n, float* out) {
-  for (size_t e = 0; e < n; ++e) out[e] = signs[e] * table[offsets[e]];
-}
-
 double PlanMargin(const float* table, const PlanView& plan, const float* values) {
   // The per-feature inner sum is carried in double and folded into the outer
   // accumulator scaled by x_i, exactly as the pre-plan PredictMargin loops did.

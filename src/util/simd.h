@@ -48,9 +48,12 @@ float MedianLarge(float* v, size_t n);
 // none of their vector versions won on a measured workload.
 
 /// out[e] = signs[e] · table[offsets[e]] — the per-feature plan read behind
-/// the update paths' raw medians.
-void GatherSigned(const float* table, const uint32_t* offsets, const float* signs,
-                  size_t n, float* out);
+/// the update paths' raw medians. Inline: it runs once per feature of every
+/// update, over depth entries.
+inline void GatherSigned(const float* table, const uint32_t* offsets, const float* signs,
+                         size_t n, float* out) {
+  for (size_t e = 0; e < n; ++e) out[e] = signs[e] * table[offsets[e]];
+}
 
 /// The plan-driven margin accumulation Σᵢ xᵢ · Σⱼ signs[i·d+j] ·
 /// table[offsets[i·d+j]], with the per-feature inner sums and the outer

@@ -211,5 +211,36 @@ TEST(LearnerSerializationTest, GoldenSnapshotBytes) {
   EXPECT_EQ(SnapshotCrc(merged), 0x257f547cu) << "awm merged";
 }
 
+// An AWM update can evict an active-set member that appears later in the
+// same example; that feature must then take the tail path (sketch query,
+// admission test, tail scatter) like any other non-member. Random streams
+// rarely reach this case, so a hand-made one pins its bytes.
+TEST(LearnerSerializationTest, GoldenAwmStaleMemberBytes) {
+  Result<Learner> built = LearnerBuilder()
+                              .SetMethod(Method::kAwmSketch)
+                              .SetWidth(16)
+                              .SetDepth(1)
+                              .SetHeapCapacity(2)
+                              .SetLambda(0.0)
+                              .SetLearningRate(LearningRate::Constant(0.5))
+                              .SetSeed(3)
+                              .Build();
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  Learner awm = std::move(built).value();
+  // Admits 5 (weight 0.025) and 6 (weight 0.25) into the two slots.
+  awm.Update(Example{SparseVector({5, 6}, {0.1f, 1.0f}), 1});
+  // Feature 1's large candidate weight evicts 5, the smallest member; 5 is
+  // processed next in the same example, no longer a member.
+  awm.Update(Example{SparseVector({1, 5}, {10.0f, 0.1f}), 1});
+  // 5 carries its folded-back 0.025 plus this example's tail gradient
+  // (≈ 0.025), not the folded-back weight alone.
+  EXPECT_NEAR(awm.WeightEstimate(5), 0.05f, 0.002f);
+  // More of the same, with the stale member re-admitted by eviction.
+  awm.Update(Example{SparseVector({2, 6, 9}, {-8.0f, 0.5f, 4.0f}), -1});
+  awm.Update(Example{SparseVector({1, 5, 9}, {0.2f, 30.0f, 0.1f}), 1});
+  awm.Update(Example{SparseVector({0, 2, 6, 9}, {1.0f, 1.0f, 1.0f, 1.0f}), -1});
+  EXPECT_EQ(SnapshotCrc(awm), 0xcfeb264au);
+}
+
 }  // namespace
 }  // namespace wmsketch

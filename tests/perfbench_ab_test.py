@@ -94,6 +94,28 @@ class Compare(unittest.TestCase):
         self.assertEqual(len(found), 1)
         self.assertIn("ops_per_cpu_s missing from the base", found[0])
 
+    def test_report_gives_pairs_won_and_base_iqr(self):
+        # Base 990/1000/1010 has quartiles 995 and 1005; the head wins the
+        # pairs it beats strictly in the metric's direction, ties for neither.
+        head = [run(ops=980.0, rss=90.0), run(ops=1000.0, rss=100.0),
+                run(ops=1200.0, rss=110.0)]
+        report = ab.compare("ingest", base_runs(), head, END_TO_END)[0]
+        ops = next(line for line in report if "ops_per_cpu_s" in line)
+        rss = next(line for line in report if "peak_rss_mb" in line)
+        self.assertIn("won 1/3", ops)
+        self.assertIn("base IQR 10 ", ops)
+        self.assertIn("won 1/3", rss)
+        self.assertIn("base IQR 0 ", rss)
+
+    def test_pairs_won_follows_the_direction(self):
+        self.assertEqual(ab.pairs_won([1, 2, 3], [2, 2, 4], "higher"), 2)
+        self.assertEqual(ab.pairs_won([1, 2, 3], [2, 2, 4], "lower"), 0)
+        self.assertEqual(ab.pairs_won([5, 5], [4, 6], "lower"), 1)
+
+    def test_iqr(self):
+        self.assertEqual(ab.iqr([1.0, 2.0, 3.0, 4.0, 5.0]), 2.0)
+        self.assertEqual(ab.iqr([7.0]), 0.0)
+
     def test_unknown_direction_raises(self):
         with self.assertRaises(ValueError):
             ab.compare("ingest", base_runs(), base_runs(),

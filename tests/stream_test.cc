@@ -3,11 +3,18 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
+#include <sstream>
+#include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "stream/libsvm_io.h"
@@ -111,40 +118,111 @@ TEST(LibsvmTest, CommentsAndWhitespaceTolerated) {
   EXPECT_EQ(r.value().x.nnz(), 1u);
 }
 
+// Parses `line`, which must be rejected with exactly `want` (code: message).
+void ExpectRejected(std::string_view line, std::string_view want) {
+  const Result<Example> r = ParseLibsvmLine(line);
+  ASSERT_FALSE(r.ok()) << line;
+  EXPECT_EQ(r.status().ToString(), want) << line;
+}
+
 TEST(LibsvmTest, FailureInjection) {
-  EXPECT_FALSE(ParseLibsvmLine("").ok());                 // empty
-  EXPECT_FALSE(ParseLibsvmLine("2 1:1").ok());            // bad label
-  EXPECT_FALSE(ParseLibsvmLine("+1 x:1").ok());           // bad index
-  EXPECT_FALSE(ParseLibsvmLine("+1 1:abc").ok());         // bad value
-  EXPECT_FALSE(ParseLibsvmLine("+1 1:nan").ok());         // non-finite
-  EXPECT_FALSE(ParseLibsvmLine("+1 0:1").ok());           // 0 in 1-based
-  EXPECT_FALSE(ParseLibsvmLine("+1 :5").ok());            // empty index
-  EXPECT_FALSE(ParseLibsvmLine("+1 5:").ok());            // empty value
-  EXPECT_FALSE(ParseLibsvmLine("+1 4294967297:1").ok());  // > 32-bit
+  // Each rejection states its reason word for word.
+  ExpectRejected("", "InvalidArgument: empty line");
+  ExpectRejected("   ", "InvalidArgument: empty line");
+  ExpectRejected("2 1:1", "InvalidArgument: unrecognized label '2'");
+  ExpectRejected("+1 x:1", "InvalidArgument: bad feature index 'x'");
+  ExpectRejected("+1 1:abc", "InvalidArgument: bad feature value 'abc'");
+  ExpectRejected("+1 1:nan", "InvalidArgument: non-finite feature value 'nan'");
+  ExpectRejected("+1 1:inf", "InvalidArgument: non-finite feature value 'inf'");
+  ExpectRejected("+1 1:+1.5", "InvalidArgument: bad feature value '+1.5'");
+  ExpectRejected("+1 1:0x1p3", "InvalidArgument: bad feature value '0x1p3'");
+  ExpectRejected("+1 1:1e", "InvalidArgument: bad feature value '1e'");
+  ExpectRejected("+1 1:1e-50", "InvalidArgument: bad feature value '1e-50'");  // underflow
+  ExpectRejected("+1 0:1", "InvalidArgument: index 0 in one-based file");
+  ExpectRejected("+1 0:abc", "InvalidArgument: index 0 in one-based file");
+  ExpectRejected("+1 :5", "InvalidArgument: malformed feature ':5'");  // empty index
+  ExpectRejected("+1 5:", "InvalidArgument: malformed feature '5:'");  // empty value
+  ExpectRejected("+1 4294967297:1", "OutOfRange: feature index 4294967296 exceeds 32 bits");
+  ExpectRejected("+1 99999999999999999999:1",
+                 "InvalidArgument: bad feature index '99999999999999999999'");
+  // A CR is stripped only where it ends the record; here a blank follows it.
+  ExpectRejected("+1 1:2\r # comment", "InvalidArgument: bad feature value '2\r'");
 }
 
 TEST(LibsvmTest, RejectsNonMonotoneIndices) {
   // Duplicate and out-of-order indices are reported, not silently repaired:
   // the strict contract names the offending token.
-  auto dup = ParseLibsvmLine("+1 3:1.0 3:2.0");
-  ASSERT_FALSE(dup.ok());
-  EXPECT_NE(dup.status().message().find("duplicate"), std::string::npos)
-      << dup.status().ToString();
-  EXPECT_NE(dup.status().message().find("3:2.0"), std::string::npos)
-      << dup.status().ToString();
-  auto ooo = ParseLibsvmLine("+1 7:1.0 2:2.0");
-  ASSERT_FALSE(ooo.ok());
-  EXPECT_NE(ooo.status().message().find("out-of-order"), std::string::npos)
-      << ooo.status().ToString();
-  EXPECT_NE(ooo.status().message().find("2:2.0"), std::string::npos)
-      << ooo.status().ToString();
+  ExpectRejected("+1 3:1.0 3:2.0",
+                 "InvalidArgument: duplicate feature index in '3:2.0' (indices must be "
+                 "strictly increasing)");
+  ExpectRejected("+1 7:1.0 2:2.0",
+                 "InvalidArgument: out-of-order feature index in '2:2.0' (indices must be "
+                 "strictly increasing)");
 }
 
 TEST(LibsvmTest, RejectsTrailingJunk) {
-  EXPECT_FALSE(ParseLibsvmLine("+1 1:1.0 junk").ok());     // bare token
-  EXPECT_FALSE(ParseLibsvmLine("+1 1:1.0 2:3.5xy").ok());  // junk glued to value
-  EXPECT_FALSE(ParseLibsvmLine("+1 1:1.0 2q:3.5").ok());   // junk glued to index
-  EXPECT_FALSE(ParseLibsvmLine("+1 1:1.0 -1").ok());       // stray second label
+  ExpectRejected("+1 1:1.0 junk", "InvalidArgument: malformed feature 'junk'");  // bare token
+  ExpectRejected("+1 1:1.0 2:3.5xy",
+                 "InvalidArgument: bad feature value '3.5xy'");  // junk glued to value
+  ExpectRejected("+1 1:1.0 2q:3.5",
+                 "InvalidArgument: bad feature index '2q'");  // junk glued to index
+  ExpectRejected("+1 1:1.0 -1", "InvalidArgument: malformed feature '-1'");  // stray label
+  ExpectRejected("+1 1:2:3", "InvalidArgument: bad feature value '2:3'");    // second ':'
+}
+
+// Parses `tok` as the value of one feature and checks the outcome against
+// std::from_chars<float>: the same tokens accepted, bit-identical values.
+void ExpectValueMatchesFromChars(const std::string& tok) {
+  float want = 0.0f;
+  const auto [end, ec] = std::from_chars(tok.data(), tok.data() + tok.size(), want);
+  const bool accepted =
+      ec == std::errc() && end == tok.data() + tok.size() && std::isfinite(want);
+  const Result<Example> r = ParseLibsvmLine("+1 3:" + tok);
+  ASSERT_EQ(r.ok(), accepted) << "'" << tok << "'";
+  if (!accepted) return;
+  if (want == 0.0f) {
+    EXPECT_EQ(r.value().x.nnz(), 0u) << "'" << tok << "'";  // zeros are dropped
+    return;
+  }
+  ASSERT_EQ(r.value().x.nnz(), 1u) << "'" << tok << "'";
+  EXPECT_EQ(std::bit_cast<uint32_t>(r.value().x.value(0)), std::bit_cast<uint32_t>(want))
+      << "'" << tok << "'";
+}
+
+std::string Printf(const char* fmt, double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), fmt, v);
+  return buf;
+}
+
+TEST(LibsvmTest, ValuesMatchFromCharsBitForBit) {
+  // Edges of an exact decimal fast path (mantissa ≤ 2^24, decimal exponent
+  // in [-10, 10]) and of the grammar, then generated tokens.
+  for (const char* tok :
+       {"16777216", "16777217", "-16777216", "-16777217", "1677721.6", "1677721.7",
+        "0.16777216", "0.16777217", "16777216e10", "16777217e10", "16777216e-10",
+        "16777217e-10", "1e10", "1e11", "1e-10", "1e-11", "1E10", "1e+10", "1e-010",
+        "7e10", "9e-11", "0.0000000001", "0.00000000001", "10000000000", "100000000000",
+        "1234567", "12345678", "123456789", "0.1234567", "0.12345678", "0.123456789",
+        "1.", ".5", "-.5", "-1.", "0", "-0", "0.0", "-0.0", "0e5", "00012.5000",
+        "000000000000000000001", "1.000000000000000000000", "1e-50", "1e50", "3.4e38",
+        "3.5e38", "1e-40", "1e-45", "0.0123457", "1.23457e-05", "-1.23457e+06", "1e",
+        "1e+", "1e-", "1.e3", ".e3", ".", "-", "-.", "+1.5", "inf", "-inf", "nan",
+        "0x1p3", "1..2", "1.2.3", "1e3.5", "--1", "1-", "0.1:2"}) {
+    ExpectValueMatchesFromChars(tok);
+  }
+  Rng rng(20181);
+  for (int n = 0; n < 20000; ++n) {
+    // Log-uniform magnitudes across and beyond the fast path's exponent range.
+    const double v = (rng.Bounded(2) ? -1.0 : 1.0) * std::pow(10.0, 28.0 * rng.NextDouble() - 14.0);
+    for (const char* fmt : {"%g", "%.7g", "%.8g", "%.9g", "%.3e", "%.10f", "%.4f"}) {
+      ExpectValueMatchesFromChars(Printf(fmt, v));
+    }
+    // Integer mantissas around 2^24 under explicit exponents around ±10.
+    const uint64_t m = (1u << 24) - 64 + rng.Bounded(128);
+    const int e = static_cast<int>(rng.Bounded(25)) - 12;
+    ExpectValueMatchesFromChars(std::to_string(m) + "e" + std::to_string(e));
+  }
 }
 
 TEST(LibsvmTest, ExplicitZerosValidatedThenDropped) {
@@ -227,6 +305,47 @@ TEST(LibsvmTest, RoundTripFile) {
   EXPECT_EQ(r.value()[0].x, examples[0].x);
   EXPECT_EQ(r.value()[1].y, -1);
   std::remove(path.c_str());
+}
+
+TEST(LibsvmTest, FormatRoundTripsTheLargestIndex) {
+  // Feature 0xFFFFFFFF is written one-based as 4294967296, not wrapped to 0.
+  const Example ex{SparseVector({7, 0xffffffffu}, {1.5f, -2.0f}), -1};
+  const std::string line = FormatLibsvmLine(ex);
+  EXPECT_EQ(line, "-1 8:1.5 4294967296:-2");
+  const Result<Example> r = ParseLibsvmLine(line);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r.value().x, ex.x);
+}
+
+TEST(LibsvmTest, FormatMatchesStreamRendering) {
+  // Values render exactly as `std::ostream << float` does (six significant
+  // digits, %g style): random bit patterns, log-uniform magnitudes, extremes.
+  std::vector<float> values = {1.0f,
+                               -2.5f,
+                               0.1f,
+                               1e-5f,
+                               123456.0f,
+                               1234567.0f,
+                               -0.0f,
+                               std::numeric_limits<float>::max(),
+                               std::numeric_limits<float>::min(),
+                               std::numeric_limits<float>::denorm_min(),
+                               std::numeric_limits<float>::infinity(),
+                               std::numeric_limits<float>::quiet_NaN()};
+  Rng rng(7);
+  for (int i = 0; i < 30000; ++i) {
+    values.push_back(std::bit_cast<float>(rng.NextU32()));
+    values.push_back(static_cast<float>(std::pow(10.0, 24.0 * rng.NextDouble() - 12.0)));
+  }
+  std::vector<uint32_t> indices(values.size());
+  for (size_t i = 0; i < indices.size(); ++i) indices[i] = static_cast<uint32_t>(3 * i);
+  const Example ex{SparseVector(indices, values), 1};
+  std::ostringstream want;
+  want << "+1";
+  for (size_t i = 0; i < values.size(); ++i) {
+    want << ' ' << (static_cast<uint64_t>(indices[i]) + 1) << ':' << values[i];
+  }
+  EXPECT_EQ(FormatLibsvmLine(ex), want.str());
 }
 
 TEST(LibsvmTest, FileErrorsSurfaceLineNumbers) {

@@ -15,6 +15,11 @@ operations it attempted than the base, or when the median of any `end_to_end`
 metric of BENCHMARK.json is worse on the head than on the base by more than
 that metric's `bound` (the direction of worse comes from its `better`).
 A run that is not correct ends the gate at once.
+
+Each metric's report line also gives the pairs the head won (ties count for
+neither side) and the interquartile range of the base's runs, the two figures
+a claimed gain must clear: nine pairs in ten, and a gap between the medians
+wider than that range.
 """
 
 import json
@@ -56,6 +61,21 @@ def fail_share(runs):
     return sum(r["failed"] for r in runs) / attempted if attempted else 1.0
 
 
+def pairs_won(base_values, head_values, better):
+    """Pairs (same seed, same index) in which the head is strictly better."""
+    if better == "higher":
+        return sum(h > b for b, h in zip(base_values, head_values))
+    return sum(h < b for b, h in zip(base_values, head_values))
+
+
+def iqr(values):
+    """Distance between the first and third quartiles (0 for fewer than two runs)."""
+    if len(values) < 2:
+        return 0.0
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q3 - q1
+
+
 def compare(workload, base_runs, head_runs, end_to_end):
     """Returns (report lines, failure lines) for one workload's runs."""
     report, failures = [], []
@@ -78,8 +98,10 @@ def compare(workload, base_runs, head_runs, end_to_end):
             failures.append(f"{workload}: {name} missing from the {' and '.join(missing)} "
                             "result; it cannot be compared")
             continue
-        base = statistics.median(r["metrics"][name]["value"] for r in base_runs)
-        head = statistics.median(r["metrics"][name]["value"] for r in head_runs)
+        base_values = [r["metrics"][name]["value"] for r in base_runs]
+        head_values = [r["metrics"][name]["value"] for r in head_runs]
+        base = statistics.median(base_values)
+        head = statistics.median(head_values)
         if m["better"] == "higher":
             worse = head < base * (1 - m["bound"])
         elif m["better"] == "lower":
@@ -87,8 +109,11 @@ def compare(workload, base_runs, head_runs, end_to_end):
         else:
             raise ValueError(f"{name}: better must be higher or lower, not {m['better']!r}")
         ratio = f"{head / base:.3f}" if base else "n/a"
+        won = pairs_won(base_values, head_values, m["better"])
+        pairs = min(len(base_values), len(head_values))
         report.append(f"{workload:15s} {name:14s} base {base:14.6g}  head {head:14.6g}  "
-                      f"head/base {ratio:>6s}  ({m['better']} is better, bound "
+                      f"head/base {ratio:>6s}  won {won}/{pairs}  base IQR "
+                      f"{iqr(base_values):.6g}  ({m['better']} is better, bound "
                       f"{m['bound']:g})  {'WORSE' if worse else 'ok'}")
         if worse:
             failures.append(f"{workload}: {name} median {head:.6g} is worse than the "
